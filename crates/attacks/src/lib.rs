@@ -41,13 +41,18 @@ pub use basic_single::{BasicSingleAttack, BasicSingleCache, WaitAndCancel};
 pub use cubic::{cubic_distances, plan_with_k, CubicAttack, CubicPlan};
 pub use phase_burst::PhaseBurstAttack;
 pub use phase_guess::PhaseGuessAttack;
-pub use phase_rushing::{PhaseRusher, PhaseRushingAttack, PhaseRushingCache};
+pub use phase_rushing::{
+    BatchPhaseRusher, PhaseRusher, PhaseRushingAttack, PhaseRushingBatchCache, PhaseRushingCache,
+    PhaseRushingLayout,
+};
 pub use phase_sum::PhaseSumAttack;
 pub use random_located::RandomLocatedAttack;
 pub use runner::{
     build_runner, AttackKind, AttackRunner, AttackTrialResult, RANDOM_LOCATED_WINDOW,
 };
-pub use rushing::{Rusher, RushingAttack, RushingCache};
+pub use rushing::{
+    BatchRusher, Rusher, RushingAttack, RushingBatchCache, RushingCache, RushingLayout,
+};
 pub use wakeup_mask::{MaskPlan, WakeupIdLieAttack, WakeupMaskAttack};
 
 /// Why an attack could not be mounted with the given coalition.

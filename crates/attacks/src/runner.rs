@@ -11,12 +11,13 @@
 
 use crate::{
     cubic_distances, AttackError, BasicSingleAttack, BasicSingleCache, CubicAttack, CubicPlan,
-    PhaseBurstAttack, PhaseGuessAttack, PhaseRushingAttack, PhaseRushingCache, PhaseSumAttack,
-    RandomLocatedAttack, RushingAttack, RushingCache, WakeupIdLieAttack, WakeupMaskAttack,
+    PhaseBurstAttack, PhaseGuessAttack, PhaseRushingAttack, PhaseRushingBatchCache,
+    PhaseRushingCache, PhaseRushingLayout, PhaseSumAttack, RandomLocatedAttack, RushingAttack,
+    RushingBatchCache, RushingCache, RushingLayout, WakeupIdLieAttack, WakeupMaskAttack,
 };
 use fle_core::protocols::{
-    ALeadTrialCache, ALeadUni, BasicLead, PhaseAsyncLead, PhaseSumLead, PhaseTrialCache, WakeLead,
-    WakeTrialCache,
+    ALeadTrialCache, ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead,
+    PhaseTrialCache, WakeLead, WakeTrialCache,
 };
 use fle_core::{Coalition, Execution, NodeId};
 use std::str::FromStr;
@@ -176,6 +177,68 @@ pub trait AttackRunner {
     /// the salt-separated fault stream) and applies it for that trial.
     /// `None` restores the fault-free path.
     fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>);
+
+    /// Runs a group of trials in lockstep (`ring_sim::batch`): lane `i`
+    /// is `run_trial(seeds[i], fn_key, targets[i])`, all lanes sharing
+    /// one `fn_key`.
+    ///
+    /// Returns `true` after passing every lane's result to `each`, in
+    /// lane order, each bit-identical to what `run_trial` returns for
+    /// that lane. Returns `false` without calling `each` when the group
+    /// cannot run in lockstep — the attack has no lockstep path (the
+    /// default), a timed network or crash faults are installed, the
+    /// layout or a target is infeasible, or the lanes diverged — and the
+    /// caller must run the trials through `run_trial`.
+    fn run_group(
+        &mut self,
+        seeds: &[u64],
+        fn_key: u64,
+        targets: &[u64],
+        each: &mut dyn FnMut(AttackTrialResult<'_>),
+    ) -> bool {
+        let _ = (seeds, fn_key, targets, each);
+        false
+    }
+}
+
+/// The lockstep side of a runner with a batched path: the group cache
+/// (built on the first group), the reused lane [`Execution`], and whether
+/// the installed network and faults still allow lockstep.
+struct Lockstep<C> {
+    cache: Option<C>,
+    exec: Execution,
+    timed: bool,
+    faulty: bool,
+}
+
+impl<C> Lockstep<C> {
+    fn new() -> Self {
+        Self {
+            cache: None,
+            exec: Execution::default(),
+            timed: false,
+            faulty: false,
+        }
+    }
+
+    /// Reports every lane of a completed group to `each`, judging
+    /// success as the scalar runners do (the forced leader was elected).
+    fn emit(
+        &mut self,
+        targets: &[u64],
+        read: impl Fn(&C, usize, &mut Execution),
+        each: &mut dyn FnMut(AttackTrialResult<'_>),
+    ) {
+        let cache = self.cache.as_ref().expect("a group ran on this cache");
+        for (lane, &target) in targets.iter().enumerate() {
+            read(cache, lane, &mut self.exec);
+            let exec = &self.exec;
+            each(AttackTrialResult {
+                exec,
+                success: exec.outcome.elected() == Some(target),
+            });
+        }
+    }
 }
 
 /// Builds the cached runner for `kind` on a ring of `n` with the given
@@ -211,8 +274,9 @@ pub fn build_runner(
         }),
         AttackKind::Rushing => Box::new(RushingRunner {
             base: ALeadUni::new(n),
-            coalition: coalition.clone(),
+            layout: RushingLayout::new(coalition),
             cache: RushingCache::ring(n),
+            lockstep: Lockstep::new(),
         }),
         AttackKind::Cubic => {
             let plan = cubic_distances(n)?;
@@ -236,8 +300,9 @@ pub fn build_runner(
         }),
         AttackKind::PhaseRushing => Box::new(PhaseRushingRunner {
             base: PhaseBase::new(n),
-            coalition: coalition.clone(),
+            layout: PhaseRushingLayout::new(coalition),
             cache: PhaseRushingCache::ring(n),
+            lockstep: Lockstep::new(),
         }),
         AttackKind::PhaseGuess => Box::new(PhaseGuessRunner {
             base: PhaseBase::new(n),
@@ -330,10 +395,13 @@ impl AttackRunner for BasicSingleRunner {
     }
 }
 
+/// The rushing runner checks the coalition layout once, when built; per
+/// trial only the target is checked.
 struct RushingRunner {
     base: ALeadUni,
-    coalition: Coalition,
+    layout: Result<RushingLayout, AttackError>,
     cache: RushingCache,
+    lockstep: Lockstep<RushingBatchCache>,
 }
 
 impl AttackRunner for RushingRunner {
@@ -344,18 +412,48 @@ impl AttackRunner for RushingRunner {
         target: u64,
     ) -> Result<AttackTrialResult<'_>, AttackError> {
         self.cache.set_trial_seed(seed);
+        let attack = RushingAttack::new(target);
+        attack.check_target(self.base.n())?;
+        let layout = self.layout.as_ref().map_err(Clone::clone)?;
         let p = self.base.clone().with_seed(seed);
-        let exec = RushingAttack::new(target).run_in(&p, &self.coalition, &mut self.cache)?;
+        let exec = attack.run_planned_in(&p, layout, &mut self.cache)?;
         let success = exec.outcome.elected() == Some(target);
         Ok(AttackTrialResult { exec, success })
     }
 
     fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
+        self.lockstep.timed = net.is_some();
         self.cache.set_timed_net(net);
     }
 
     fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
+        self.lockstep.faulty = cfg.is_some();
         self.cache.set_faults(cfg);
+    }
+
+    fn run_group(
+        &mut self,
+        seeds: &[u64],
+        _fn_key: u64,
+        targets: &[u64],
+        each: &mut dyn FnMut(AttackTrialResult<'_>),
+    ) -> bool {
+        let lockstep = &mut self.lockstep;
+        let Ok(layout) = &self.layout else {
+            return false;
+        };
+        if lockstep.timed || lockstep.faulty {
+            return false;
+        }
+        let n = self.base.n();
+        let cache = lockstep
+            .cache
+            .get_or_insert_with(|| RushingBatchCache::ring(n));
+        if !layout.run_batch_into(&self.base, seeds, targets, cache) {
+            return false;
+        }
+        lockstep.emit(targets, RushingBatchCache::execution_into, each);
+        true
     }
 }
 
@@ -418,10 +516,13 @@ impl AttackRunner for RandomLocatedRunner {
     }
 }
 
+/// The phase-rushing runner checks the coalition layout once, when
+/// built; per trial only the target is checked.
 struct PhaseRushingRunner {
     base: PhaseBase,
-    coalition: Coalition,
+    layout: Result<PhaseRushingLayout, AttackError>,
     cache: PhaseRushingCache,
+    lockstep: Lockstep<PhaseRushingBatchCache>,
 }
 
 impl AttackRunner for PhaseRushingRunner {
@@ -432,18 +533,50 @@ impl AttackRunner for PhaseRushingRunner {
         target: u64,
     ) -> Result<AttackTrialResult<'_>, AttackError> {
         self.cache.set_trial_seed(seed);
+        let attack = PhaseRushingAttack::new(target);
+        attack.check_target(self.base.n)?;
+        let layout = self.layout.as_ref().map_err(Clone::clone)?;
         let p = self.base.instance(fn_key, seed);
-        let exec = PhaseRushingAttack::new(target).run_in(&p, &self.coalition, &mut self.cache)?;
+        let exec = attack.run_planned_in(&p, layout, &mut self.cache)?;
         let success = exec.outcome.elected() == Some(target);
         Ok(AttackTrialResult { exec, success })
     }
 
     fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
+        self.lockstep.timed = net.is_some();
         self.cache.set_timed_net(net);
     }
 
     fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
+        self.lockstep.faulty = cfg.is_some();
         self.cache.set_faults(cfg);
+    }
+
+    fn run_group(
+        &mut self,
+        seeds: &[u64],
+        fn_key: u64,
+        targets: &[u64],
+        each: &mut dyn FnMut(AttackTrialResult<'_>),
+    ) -> bool {
+        let lockstep = &mut self.lockstep;
+        let Ok(layout) = &self.layout else {
+            return false;
+        };
+        if lockstep.timed || lockstep.faulty {
+            return false;
+        }
+        let n = self.base.n;
+        let p = self.base.instance(fn_key, 0);
+        let cache = lockstep
+            .cache
+            .get_or_insert_with(|| PhaseRushingBatchCache::ring(n));
+        // The attack's own target is unused: every lane is retargeted.
+        if !PhaseRushingAttack::new(0).run_batch_into(&p, layout, seeds, targets, cache) {
+            return false;
+        }
+        lockstep.emit(targets, PhaseRushingBatchCache::execution_into, each);
+        true
     }
 }
 

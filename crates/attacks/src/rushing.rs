@@ -13,8 +13,12 @@
 //! (the Claim D.1 crossover).
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadNode, ALeadUni, FleProtocol, TrialCache};
+use fle_core::protocols::{
+    fold_mod, wrap_sub, ALeadBatchCache, ALeadNode, ALeadUni, BatchDeviants, FleProtocol,
+    TrialCache,
+};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
+use ring_sim::batch::{LaneCtx, LockstepNode};
 use ring_sim::Ctx;
 
 /// [`TrialCache`] for the rushing coalition's fully unboxed fast path:
@@ -22,6 +26,88 @@ use ring_sim::Ctx;
 /// runs the concrete [`Rusher`] — a homogeneous coalition needs no
 /// `Box<dyn Node>` anywhere in the mix.
 pub type RushingCache = TrialCache<u64, ALeadNode, Rusher>;
+
+/// [`ALeadBatchCache`] for lockstep groups of the rushing attack: honest
+/// positions run [`fle_core::protocols::BatchALeadNode`], coalition slots
+/// run [`BatchRusher`].
+pub type RushingBatchCache = ALeadBatchCache<BatchRusher>;
+
+/// The seed- and target-independent part of [`RushingAttack::plan`]: the
+/// actively deviating coalition and its segment lengths `l_j`. A sweep
+/// checks the Lemma 4.1 precondition once through this and reuses it for
+/// every trial.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RushingLayout {
+    active: Coalition,
+    distances: Vec<usize>,
+}
+
+impl RushingLayout {
+    /// Drops an honestly-behaving origin from `coalition` and checks that
+    /// every remaining segment has `l_j ≤ k − 1`.
+    ///
+    /// # Errors
+    ///
+    /// [`AttackError::Infeasible`] when no active adversary remains or
+    /// some segment is too long.
+    pub fn new(coalition: &Coalition) -> Result<Self, AttackError> {
+        let active: Vec<NodeId> = coalition
+            .positions()
+            .iter()
+            .copied()
+            .filter(|&p| p != 0)
+            .collect();
+        if active.is_empty() {
+            return Err(AttackError::Infeasible(
+                "only the origin is corrupted and it must behave honestly".into(),
+            ));
+        }
+        let active = Coalition::new(coalition.n(), active).expect("subset of a valid coalition");
+        let k = active.k();
+        let distances = active.distances();
+        if let Some((j, &l)) = distances.iter().enumerate().find(|&(_, &l)| l > k - 1) {
+            return Err(AttackError::Infeasible(format!(
+                "segment I_{j} has length {l} > k - 1 = {} (Lemma 4.1 requires l_j <= k - 1)",
+                k - 1
+            )));
+        }
+        Ok(Self { active, distances })
+    }
+
+    /// Runs one lockstep group of the rushing attack: lane `i` is the
+    /// trial `RushingAttack::new(targets[i])` against
+    /// `protocol.with_seed(seeds[i])`. Returns `false` if the group
+    /// diverged or some target is out of range (re-run those trials
+    /// scalar); on `true` each lane's execution, read with
+    /// [`ALeadBatchCache::execution_into`], is bit-identical to
+    /// [`RushingAttack::run_in`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout, the protocol and the cache disagree on the
+    /// ring size, `seeds` is empty, or `targets.len() != seeds.len()`.
+    pub fn run_batch_into(
+        &self,
+        protocol: &ALeadUni,
+        seeds: &[u64],
+        targets: &[u64],
+        cache: &mut RushingBatchCache,
+    ) -> bool {
+        assert_eq!(seeds.len(), targets.len(), "one target per lane");
+        assert_eq!(self.active.n(), protocol.n(), "layout is for another ring");
+        if targets.iter().any(|&w| w >= protocol.n() as u64) {
+            return false;
+        }
+        protocol.run_batch_with_into(
+            seeds,
+            &mut RushingLanes {
+                layout: self,
+                targets,
+            },
+            cache,
+        )
+    }
+}
 
 /// The Lemma 4.1 rushing attack on [`ALeadUni`].
 ///
@@ -71,6 +157,15 @@ impl RushingAttack {
         protocol: &ALeadUni,
         coalition: &Coalition,
     ) -> Result<Coalition, AttackError> {
+        Ok(self.layout(protocol, coalition)?.active)
+    }
+
+    /// [`RushingAttack::plan`] returning the whole [`RushingLayout`].
+    fn layout(
+        &self,
+        protocol: &ALeadUni,
+        coalition: &Coalition,
+    ) -> Result<RushingLayout, AttackError> {
         let n = protocol.n();
         if coalition.n() != n {
             return Err(AttackError::Infeasible(format!(
@@ -78,37 +173,19 @@ impl RushingAttack {
                 coalition.n()
             )));
         }
+        self.check_target(n)?;
+        RushingLayout::new(coalition)
+    }
+
+    /// Checks that the target names a processor of a ring of `n`.
+    pub(crate) fn check_target(&self, n: usize) -> Result<(), AttackError> {
         if self.target >= n as u64 {
             return Err(AttackError::Infeasible(format!(
                 "target {} out of range for n={n}",
                 self.target
             )));
         }
-        let active: Vec<NodeId> = coalition
-            .positions()
-            .iter()
-            .copied()
-            .filter(|&p| p != 0)
-            .collect();
-        if active.is_empty() {
-            return Err(AttackError::Infeasible(
-                "only the origin is corrupted and it must behave honestly".into(),
-            ));
-        }
-        let active = Coalition::new(n, active).expect("subset of a valid coalition");
-        let k = active.k();
-        if let Some((j, l)) = active
-            .distances()
-            .into_iter()
-            .enumerate()
-            .find(|&(_, l)| l > k - 1)
-        {
-            return Err(AttackError::Infeasible(format!(
-                "segment I_{j} has length {l} > k - 1 = {} (Lemma 4.1 requires l_j <= k - 1)",
-                k - 1
-            )));
-        }
-        Ok(active)
+        Ok(())
     }
 
     /// Builds the deviation nodes for the coalition.
@@ -146,20 +223,23 @@ impl RushingAttack {
         protocol: &ALeadUni,
         coalition: &Coalition,
     ) -> Result<Vec<(NodeId, Rusher)>, AttackError> {
-        let active = self.plan(protocol, coalition)?;
-        let n = protocol.n();
-        let k = active.k();
-        Ok(active
+        Ok(self.rushers(&self.layout(protocol, coalition)?))
+    }
+
+    /// The coalition's [`Rusher`]s for an already checked layout.
+    fn rushers(&self, layout: &RushingLayout) -> Vec<(NodeId, Rusher)> {
+        let active = &layout.active;
+        let (n, k) = (active.n() as u64, active.k() as u64);
+        active
             .positions()
             .iter()
-            .enumerate()
-            .map(|(idx, &pos)| {
-                let l = active.distances()[idx];
+            .zip(&layout.distances)
+            .map(|(&pos, &l)| {
                 (
                     pos,
                     Rusher {
-                        n: n as u64,
-                        k: k as u64,
+                        n,
+                        k,
                         l: l as u64,
                         w: self.target,
                         count: 0,
@@ -168,7 +248,7 @@ impl RushingAttack {
                     },
                 )
             })
-            .collect())
+            .collect()
     }
 
     /// Runs the deviation against a protocol instance.
@@ -209,6 +289,34 @@ impl RushingAttack {
     ) -> Result<&'c Execution, AttackError> {
         let nodes = self.adversary_ring_nodes(protocol, coalition)?;
         Ok(protocol.run_with_in(nodes, cache))
+    }
+
+    /// [`RushingAttack::run_in`] over a layout checked once up front, so
+    /// a sweep pays only the target check per trial. Bit-identical
+    /// outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AttackError::Infeasible`] when the target is out of
+    /// range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout, the protocol and the cache disagree on the
+    /// ring size.
+    pub fn run_planned_in<'c>(
+        &self,
+        protocol: &ALeadUni,
+        layout: &RushingLayout,
+        cache: &'c mut RushingCache,
+    ) -> Result<&'c Execution, AttackError> {
+        assert_eq!(
+            layout.active.n(),
+            protocol.n(),
+            "layout is for another ring"
+        );
+        self.check_target(protocol.n())?;
+        Ok(protocol.run_with_in(self.rushers(layout), cache))
     }
 }
 
@@ -261,6 +369,111 @@ impl Node<u64> for Rusher {
             }
             ctx.terminate(Some(self.w));
         }
+    }
+}
+
+/// The lane-parallel [`Rusher`]: one coalition slot of a lockstep group,
+/// with the shared receive count and per-lane target, running sum and
+/// segment tail. Its control flow depends only on the receive count, so
+/// all lanes always stay in step.
+pub struct BatchRusher {
+    n: u64,
+    k: u64,
+    l: u64,
+    count: u64,
+    lanes: usize,
+    w: Vec<u64>,
+    sum: Vec<u64>,
+    /// The segment tail, slot-major: tail value `j` of lane `x` at
+    /// `tail[j * lanes + x]`.
+    tail: Vec<u64>,
+}
+
+impl LockstepNode for BatchRusher {
+    fn on_wake(&mut self, _ctx: &mut LaneCtx<'_>) {}
+
+    fn on_message(&mut self, _tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>) {
+        let (n, k) = (self.n, self.lanes);
+        self.count += 1;
+        let learn = self.n - self.k;
+        if self.count > learn {
+            return;
+        }
+        let out = ctx.send(0);
+        let tail_from = learn - self.l;
+        let tail_slot = (self.count > tail_from).then(|| (self.count - tail_from - 1) as usize * k);
+        for (lane, (&msg, o)) in lanes.iter().zip(out.iter_mut()).enumerate() {
+            let m = fold_mod(msg, n);
+            self.sum[lane] = wrap_sub(self.sum[lane] + m, n);
+            if let Some(base) = tail_slot {
+                self.tail[base + lane] = m;
+            }
+            *o = m;
+        }
+        if self.count == learn {
+            let out = ctx.send(0);
+            for (lane, o) in out.iter_mut().enumerate() {
+                let tail_sum = (0..self.l as usize)
+                    .map(|j| self.tail[j * k + lane])
+                    .sum::<u64>()
+                    % n;
+                *o = (self.w[lane] + 2 * n - self.sum[lane] - tail_sum) % n;
+            }
+            for _ in 0..(self.k - 1 - self.l) {
+                ctx.send(0);
+            }
+            for slot in self.tail.chunks_exact(k) {
+                ctx.send(0).copy_from_slice(slot);
+            }
+            ctx.terminate().copy_from_slice(&self.w);
+        }
+    }
+}
+
+/// The rushing coalition of one lockstep group: builds and refreshes the
+/// [`BatchRusher`]s for the group's lane targets.
+struct RushingLanes<'a> {
+    layout: &'a RushingLayout,
+    targets: &'a [u64],
+}
+
+impl BatchDeviants for RushingLanes<'_> {
+    type Node = BatchRusher;
+
+    fn positions(&self) -> &[NodeId] {
+        self.layout.active.positions()
+    }
+
+    fn build(&mut self, id: NodeId) -> BatchRusher {
+        let active = &self.layout.active;
+        let j = active
+            .positions()
+            .binary_search(&id)
+            .expect("a coalition position");
+        let mut node = BatchRusher {
+            n: active.n() as u64,
+            k: active.k() as u64,
+            l: self.layout.distances[j] as u64,
+            count: 0,
+            lanes: 0,
+            w: Vec::new(),
+            sum: Vec::new(),
+            tail: Vec::new(),
+        };
+        self.reset(id, &mut node);
+        node
+    }
+
+    fn reset(&mut self, _id: NodeId, node: &mut BatchRusher) {
+        let k = self.targets.len();
+        node.count = 0;
+        node.lanes = k;
+        node.w.clear();
+        node.w.extend_from_slice(self.targets);
+        node.sum.clear();
+        node.sum.resize(k, 0);
+        // Every tail slot is written before it is read.
+        node.tail.resize(node.l as usize * k, 0);
     }
 }
 

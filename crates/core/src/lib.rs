@@ -50,7 +50,7 @@ pub mod reductions;
 pub mod renaming;
 
 pub use coalition::{Coalition, CoalitionError, HonestSegment};
-pub use randfn::{EvalTable, PhaseParams, RandomFn};
+pub use randfn::{EvalTable, HoistedEval, PhaseParams, RandomFn};
 
 /// The node substitutions an adversarial deviation installs: pairs of
 /// ring position and deviating behaviour, consumed by the protocols'

@@ -26,6 +26,13 @@
 //! later terminator merely memcmps its tables against the snapshot and
 //! reuses the outputs — turning `n` evaluations of `f` per trial into
 //! one evaluation plus `n − 1` comparisons.
+//!
+//! Adversarial groups reuse the same honest nodes: a cache's ring slots
+//! are [`BatchMixNode`]s, honest or deviating, and a [`BatchDeviants`]
+//! implementation builds and refreshes the coalition's batched
+//! deviators. Honest groups use the uninhabited deviator type
+//! [`Infallible`], so their slot enum has the layout and dispatch cost of
+//! the honest node alone.
 
 use super::{
     fold_mod, node_rng, wrap_sub, wrap_sub_usize, ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead,
@@ -35,6 +42,7 @@ use crate::randfn::{EvalTable, PhaseParams};
 use ring_sim::batch::{LaneCtx, LockstepEngine, LockstepNode};
 use ring_sim::{default_step_limit, Execution, NodeId};
 use std::cell::RefCell;
+use std::convert::Infallible;
 use std::rc::Rc;
 
 /// Runs one lockstep group on a reusable [`LockstepEngine`]: the batch
@@ -64,21 +72,117 @@ pub fn run_ring_honest_batch_into<N: LockstepNode>(
     engine.run(lanes, nodes, wakes, default_step_limit(n))
 }
 
-/// Rebuilds `nodes` as `n` fresh nodes, or resets them in place when the
-/// vector already holds `n` (retaining every inner lane allocation).
-fn ensure_nodes<N>(
-    nodes: &mut Vec<N>,
+/// One ring slot of a lockstep group: the protocol's batched honest node
+/// or a batched deviator.
+pub enum BatchMixNode<H, D> {
+    /// A processor following the protocol.
+    Honest(H),
+    /// A coalition member.
+    Deviant(D),
+}
+
+impl<H: LockstepNode, D: LockstepNode> LockstepNode for BatchMixNode<H, D> {
+    fn on_wake(&mut self, ctx: &mut LaneCtx<'_>) {
+        match self {
+            BatchMixNode::Honest(h) => h.on_wake(ctx),
+            BatchMixNode::Deviant(d) => d.on_wake(ctx),
+        }
+    }
+
+    fn on_message(&mut self, tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>) {
+        match self {
+            BatchMixNode::Honest(h) => h.on_message(tag, lanes, ctx),
+            BatchMixNode::Deviant(d) => d.on_message(tag, lanes, ctx),
+        }
+    }
+}
+
+/// The coalition side of an adversarial lockstep group: which ring
+/// positions deviate, and how each batched deviator is built or refreshed
+/// for the group's lanes.
+///
+/// The lockstep engine only stays exact if every deviator takes the same
+/// control-flow decisions in all lanes (or calls [`LaneCtx::diverge`]).
+pub trait BatchDeviants {
+    /// The batched deviator.
+    type Node: LockstepNode;
+
+    /// The coalition's ring positions, strictly ascending.
+    fn positions(&self) -> &[NodeId];
+
+    /// Builds the deviator at ring position `id` for this group's lanes.
+    fn build(&mut self, id: NodeId) -> Self::Node;
+
+    /// Re-configures `node`, built earlier for ring position `id`, for
+    /// this group's lanes, keeping its allocations.
+    fn reset(&mut self, id: NodeId, node: &mut Self::Node);
+}
+
+/// The empty coalition of an honest lockstep group.
+pub struct NoDeviants;
+
+impl BatchDeviants for NoDeviants {
+    type Node = Infallible;
+
+    fn positions(&self) -> &[NodeId] {
+        &[]
+    }
+
+    fn build(&mut self, id: NodeId) -> Infallible {
+        unreachable!("no coalition position {id} in an honest group")
+    }
+
+    fn reset(&mut self, _id: NodeId, node: &mut Infallible) {
+        match *node {}
+    }
+}
+
+/// Prepares `nodes` for a group: resets every slot in place (retaining
+/// every inner lane allocation) when `nodes` already holds this
+/// coalition's layout, and rebuilds the whole vector otherwise.
+///
+/// # Panics
+///
+/// Panics if the coalition positions are not strictly ascending and in
+/// range.
+fn ensure_nodes<H, C: BatchDeviants>(
+    nodes: &mut Vec<BatchMixNode<H, C::Node>>,
     n: usize,
-    mut make: impl FnMut(usize) -> N,
-    mut reset: impl FnMut(usize, &mut N),
+    coalition: &mut C,
+    mut make: impl FnMut(usize) -> H,
+    mut reset: impl FnMut(usize, &mut H),
 ) {
-    if nodes.len() == n {
+    let positions = coalition.positions();
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1]) && positions.last().is_none_or(|&p| p < n),
+        "coalition positions must be ascending and below n={n}"
+    );
+    let same_layout = nodes.len() == n && {
+        let mut next = 0;
+        nodes.iter().enumerate().all(|(id, node)| {
+            let deviant = positions.get(next) == Some(&id);
+            next += usize::from(deviant);
+            deviant == matches!(node, BatchMixNode::Deviant(_))
+        })
+    };
+    if same_layout {
         for (id, node) in nodes.iter_mut().enumerate() {
-            reset(id, node);
+            match node {
+                BatchMixNode::Honest(h) => reset(id, h),
+                BatchMixNode::Deviant(d) => coalition.reset(id, d),
+            }
         }
     } else {
         nodes.clear();
-        nodes.extend((0..n).map(&mut make));
+        let mut next = 0;
+        for id in 0..n {
+            if coalition.positions().get(next) == Some(&id) {
+                next += 1;
+                nodes.push(BatchMixNode::Deviant(coalition.build(id)));
+            } else {
+                nodes.push(BatchMixNode::Honest(make(id)));
+            }
+        }
     }
 }
 
@@ -131,7 +235,7 @@ impl LockstepNode for BatchBasicNode {
 /// Reusable per-worker state for batched honest `Basic-LEAD` groups.
 pub struct BasicBatchCache {
     engine: LockstepEngine,
-    nodes: Vec<BatchBasicNode>,
+    nodes: Vec<BatchMixNode<BatchBasicNode, Infallible>>,
     wakes: Vec<NodeId>,
 }
 
@@ -178,6 +282,7 @@ impl BasicLead {
         ensure_nodes(
             &mut cache.nodes,
             n,
+            &mut NoDeviants,
             |id| {
                 let mut node = BatchBasicNode {
                     n: n as u64,
@@ -272,13 +377,15 @@ impl LockstepNode for BatchALeadNode {
     }
 }
 
-/// Reusable per-worker state for batched honest `A-LEADuni` groups.
-pub struct ALeadBatchCache {
+/// Reusable per-worker state for batched `A-LEADuni` groups: honest
+/// groups with the default `D`, adversarial groups with the coalition's
+/// batched deviator type.
+pub struct ALeadBatchCache<D = Infallible> {
     engine: LockstepEngine,
-    nodes: Vec<BatchALeadNode>,
+    nodes: Vec<BatchMixNode<BatchALeadNode, D>>,
 }
 
-impl ALeadBatchCache {
+impl<D> ALeadBatchCache<D> {
     /// Creates the cache for a ring of `n` processors.
     pub fn ring(n: usize) -> Self {
         Self {
@@ -304,6 +411,25 @@ impl ALeadUni {
     /// Panics if the cache's ring size differs from `n` or `seeds` is
     /// empty.
     pub fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut ALeadBatchCache) -> bool {
+        self.run_batch_with_into(seeds, &mut NoDeviants, cache)
+    }
+
+    /// [`ALeadUni::run_honest_batch_into`] with `coalition`'s positions
+    /// running its batched deviators: the lockstep form of
+    /// [`ALeadUni::run_with_in`]. Returns `false` if the group diverged;
+    /// on `true` each lane's [`Execution`] is bit-identical to the scalar
+    /// run of the equivalent deviators with that lane's seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache's ring size differs from `n`, `seeds` is
+    /// empty, or the coalition positions are not ascending and in range.
+    pub fn run_batch_with_into<C: BatchDeviants>(
+        &self,
+        seeds: &[u64],
+        coalition: &mut C,
+        cache: &mut ALeadBatchCache<C::Node>,
+    ) -> bool {
         let n = self.n();
         let k = seeds.len();
         let fill = |id: usize, node: &mut BatchALeadNode| {
@@ -326,6 +452,7 @@ impl ALeadUni {
         ensure_nodes(
             &mut cache.nodes,
             n,
+            coalition,
             |id| {
                 let mut node = BatchALeadNode {
                     n: n as u64,
@@ -348,10 +475,10 @@ impl ALeadUni {
 // Phase protocols
 // ---------------------------------------------------------------------
 
-/// Message tag of the phase protocols' data wave.
-const DATA_TAG: u8 = 0;
-/// Message tag of the phase protocols' validation wave.
-const VAL_TAG: u8 = 1;
+/// Message tag of the phase protocols' data wave in lockstep groups.
+pub const PHASE_DATA_TAG: u8 = 0;
+/// Message tag of the phase protocols' validation wave in lockstep groups.
+pub const PHASE_VAL_TAG: u8 = 1;
 
 /// How a batched phase group computes terminal outputs.
 enum BatchOutputRule {
@@ -364,7 +491,9 @@ enum BatchOutputRule {
 /// The group-level output amortization state shared by all `n` nodes of
 /// one batched phase group (see the module docs): the first terminator
 /// publishes its collected tables and the per-lane outputs; later
-/// terminators compare and reuse.
+/// terminators compare and reuse. A terminator whose tables differ (an
+/// adversarial group, where each honest segment may see a different
+/// `d̂`) evaluates its own outputs and publishes those instead.
 struct PhaseShared {
     params: PhaseParams,
     rule: BatchOutputRule,
@@ -372,9 +501,9 @@ struct PhaseShared {
     ready: bool,
     /// Per-lane outputs of the snapshot's tables.
     outs: Vec<u64>,
-    /// The first terminator's collected data table (`n·k` slot-major).
+    /// The latest publisher's collected data table (`n·k` slot-major).
     data_snap: Vec<u64>,
-    /// The first terminator's `f`-relevant validation values
+    /// The latest publisher's `f`-relevant validation values
     /// (`vals_in_f·k` slot-major).
     vals_snap: Vec<u64>,
 }
@@ -438,7 +567,17 @@ impl BatchPhaseNode {
         // store — slots `n+1 .. n+1+vals_in_f` here.
         let vals = &self.store[(n + 1) * k..(n + 1 + vif) * k];
         let sh = &mut *sh;
-        if !sh.ready {
+        if sh.ready && sh.data_snap == data && sh.vals_snap == vals {
+            // Identical inputs to a pure function: the scalar node would
+            // compute the identical output — reuse it.
+            ctx.terminate().copy_from_slice(&sh.outs);
+        } else {
+            // The first terminator, or one whose tables differ from the
+            // last publisher's: evaluate per lane, as the scalar node
+            // would, and publish. Lanes that end up with different
+            // outputs across nodes are the scalar `Disagreement`, which
+            // `execution_into` reports from the per-node outputs. Honest
+            // groups only take this branch once.
             sh.ready = true;
             sh.data_snap.clear();
             sh.data_snap.extend_from_slice(data);
@@ -459,14 +598,6 @@ impl BatchPhaseNode {
                 }
             }
             ctx.terminate().copy_from_slice(&sh.outs);
-        } else if sh.data_snap == data && sh.vals_snap == vals {
-            // Identical inputs to a pure function: the scalar node would
-            // compute the identical output — reuse it.
-            ctx.terminate().copy_from_slice(&sh.outs);
-        } else {
-            // Scalar processors would disagree; that is a legal scalar
-            // outcome (Disagreement) this path cannot represent.
-            ctx.diverge();
         }
     }
 }
@@ -478,18 +609,18 @@ impl LockstepNode for BatchPhaseNode {
         let k = self.lanes;
         self.store[..k].copy_from_slice(&self.d);
         self.round = 1;
-        ctx.send(DATA_TAG).copy_from_slice(&self.d);
-        ctx.send(VAL_TAG).copy_from_slice(&self.v_own);
+        ctx.send(PHASE_DATA_TAG).copy_from_slice(&self.d);
+        ctx.send(PHASE_VAL_TAG).copy_from_slice(&self.v_own);
     }
 
     fn on_message(&mut self, tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>) {
         let (n, k) = (self.n, self.lanes);
         match (tag, self.expect_data) {
-            (DATA_TAG, true) if !self.origin => {
+            (PHASE_DATA_TAG, true) if !self.origin => {
                 self.expect_data = false;
                 self.round += 1;
                 // Buffered secret sharing: forward the buffer, keep x.
-                ctx.send(DATA_TAG).copy_from_slice(&self.buffer);
+                ctx.send(PHASE_DATA_TAG).copy_from_slice(&self.buffer);
                 let r = self.data_round();
                 let base = wrap_sub_usize(self.id + n - r, n) * k;
                 let mut all_own = true;
@@ -505,13 +636,13 @@ impl LockstepNode for BatchPhaseNode {
                     all_own &= x == d;
                 }
                 if self.round == self.validator_round() {
-                    ctx.send(VAL_TAG).copy_from_slice(&self.v_own);
+                    ctx.send(PHASE_VAL_TAG).copy_from_slice(&self.v_own);
                 }
                 if self.round == n && !all_own {
                     ctx.diverge();
                 }
             }
-            (DATA_TAG, true) => {
+            (PHASE_DATA_TAG, true) => {
                 self.expect_data = false;
                 let r = self.data_round();
                 let base = wrap_sub_usize(n - r, n) * k;
@@ -531,7 +662,7 @@ impl LockstepNode for BatchPhaseNode {
                     ctx.diverge();
                 }
             }
-            (VAL_TAG, false) => {
+            (PHASE_VAL_TAG, false) => {
                 self.expect_data = true;
                 let vr = if self.origin {
                     1
@@ -557,7 +688,7 @@ impl LockstepNode for BatchPhaseNode {
                     }
                 } else {
                     let base = (n + self.round) * k;
-                    let out = ctx.send(VAL_TAG);
+                    let out = ctx.send(PHASE_VAL_TAG);
                     for ((slot, o), &raw) in
                         self.store[base..base + k].iter_mut().zip(out).zip(lanes)
                     {
@@ -570,7 +701,7 @@ impl LockstepNode for BatchPhaseNode {
                     self.finish(ctx);
                 } else if self.origin {
                     // The origin launches the next round's data wave.
-                    ctx.send(DATA_TAG).copy_from_slice(&self.buffer);
+                    ctx.send(PHASE_DATA_TAG).copy_from_slice(&self.buffer);
                     self.round += 1;
                 }
             }
@@ -589,17 +720,18 @@ enum PhaseSig {
     Sum { params: PhaseParams },
 }
 
-/// Reusable per-worker state for batched honest phase-protocol groups
+/// Reusable per-worker state for batched phase-protocol groups
 /// (`PhaseAsyncLead` and `PhaseSumLead` share it — they differ only in
-/// the output rule).
-pub struct PhaseBatchCache {
+/// the output rule): honest groups with the default `D`, adversarial
+/// groups with the coalition's batched deviator type.
+pub struct PhaseBatchCache<D = Infallible> {
     engine: LockstepEngine,
-    nodes: Vec<BatchPhaseNode>,
+    nodes: Vec<BatchMixNode<BatchPhaseNode, D>>,
     shared: Rc<RefCell<PhaseShared>>,
     sig: Option<PhaseSig>,
 }
 
-impl PhaseBatchCache {
+impl<D: LockstepNode> PhaseBatchCache<D> {
     /// Creates the cache for a ring of `n` processors.
     pub fn ring(n: usize) -> Self {
         Self {
@@ -625,12 +757,13 @@ impl PhaseBatchCache {
 
     /// Installs `sig`'s output rule if the configuration changed, resets
     /// the shared state, and runs the group.
-    fn run_group(
+    fn run_group<C: BatchDeviants<Node = D>>(
         &mut self,
         params: PhaseParams,
         sig: PhaseSig,
         make_rule: impl FnOnce() -> BatchOutputRule,
         seeds: &[u64],
+        coalition: &mut C,
     ) -> bool {
         let n = params.n;
         let k = seeds.len();
@@ -674,6 +807,7 @@ impl PhaseBatchCache {
         ensure_nodes(
             &mut self.nodes,
             n,
+            coalition,
             |id| {
                 let mut node = BatchPhaseNode {
                     id,
@@ -710,6 +844,24 @@ impl PhaseAsyncLead {
     /// Panics if the cache's ring size differs from `n` or `seeds` is
     /// empty.
     pub fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut PhaseBatchCache) -> bool {
+        self.run_batch_with_into(seeds, &mut NoDeviants, cache)
+    }
+
+    /// [`PhaseAsyncLead::run_honest_batch_into`] with `coalition`'s
+    /// positions running its batched deviators — the lockstep form of
+    /// [`PhaseAsyncLead::run_with_in`], under the contract of
+    /// [`ALeadUni::run_batch_with_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache's ring size differs from `n`, `seeds` is
+    /// empty, or the coalition positions are not ascending and in range.
+    pub fn run_batch_with_into<C: BatchDeviants>(
+        &self,
+        seeds: &[u64],
+        coalition: &mut C,
+        cache: &mut PhaseBatchCache<C::Node>,
+    ) -> bool {
         let params = self.params();
         let f = self.random_fn();
         cache.run_group(
@@ -720,6 +872,7 @@ impl PhaseAsyncLead {
             },
             || BatchOutputRule::Random(EvalTable::new(&f, params.n, params.vals_in_f())),
             seeds,
+            coalition,
         )
     }
 }
@@ -740,6 +893,7 @@ impl PhaseSumLead {
             PhaseSig::Sum { params },
             || BatchOutputRule::Sum,
             seeds,
+            &mut NoDeviants,
         )
     }
 }
@@ -844,6 +998,21 @@ mod tests {
             cache.execution_into(trial, &mut exec);
             assert_eq!(exec, p.with_seed(seeds[trial]).run_honest_in(&mut engine));
         }
+    }
+
+    #[test]
+    fn honest_slots_carry_no_deviant_tag() {
+        // The uninhabited deviator makes the honest/deviant enum the
+        // honest node alone, as the module docs promise.
+        use std::mem::size_of;
+        assert_eq!(
+            size_of::<BatchMixNode<BatchPhaseNode, Infallible>>(),
+            size_of::<BatchPhaseNode>()
+        );
+        assert_eq!(
+            size_of::<BatchMixNode<BatchALeadNode, Infallible>>(),
+            size_of::<BatchALeadNode>()
+        );
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub use a_lead_uni::{ALeadNode, ALeadTrialCache, ALeadUni};
 pub use basic_lead::{BasicLead, BasicNode, BasicTrialCache};
 pub use batch::{
     run_ring_honest_batch_into, ALeadBatchCache, BasicBatchCache, BatchALeadNode, BatchBasicNode,
-    BatchPhaseNode, PhaseBatchCache,
+    BatchDeviants, BatchMixNode, BatchPhaseNode, NoDeviants, PhaseBatchCache, PHASE_DATA_TAG,
+    PHASE_VAL_TAG,
 };
 pub use phase::{phase_async_builds, PhaseAsyncLead, PhaseMsg, PhaseNode, PhaseSumLead};
 pub use phase_indexed::{IndexedMsg, IndexedPhaseLead};
@@ -48,7 +49,7 @@ use ring_sim::{
 /// predicts perfectly and the division only runs on adversarial
 /// out-of-range input. Bit-identical to `x % n` for all inputs.
 #[inline(always)]
-pub(crate) fn fold_mod(x: u64, n: u64) -> u64 {
+pub fn fold_mod(x: u64, n: u64) -> u64 {
     if x < n {
         x
     } else {
@@ -62,7 +63,7 @@ pub(crate) fn fold_mod(x: u64, n: u64) -> u64 {
 /// `≤ n`). Used on per-delivery paths where a hardware division would
 /// dominate the activation cost.
 #[inline(always)]
-pub(crate) fn wrap_sub(a: u64, n: u64) -> u64 {
+pub fn wrap_sub(a: u64, n: u64) -> u64 {
     debug_assert!(a < 2 * n);
     if a >= n {
         a - n

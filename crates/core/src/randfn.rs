@@ -153,6 +153,173 @@ impl EvalTable {
     }
 }
 
+/// [`RandomFn::eval`] hoisted for a search over inputs that agree
+/// everywhere except at a few *free* data positions — the preimage search
+/// of the phase-rushing adversary — for one or several independent lanes
+/// at once.
+///
+/// [`HoistedEval::prepare_lane`] absorbs the key, the lengths and every
+/// data entry before the first free position once, and precomputes the
+/// absorbed term `mix(x ^ pos)` of every later fixed entry and of every
+/// validation value. [`HoistedEval::eval_lanes`] then only mixes the free
+/// entries and runs the remaining hash chain, interleaving the chains of
+/// the lanes it evaluates so they overlap in the pipeline. Bit-identical
+/// to [`RandomFn::eval`] on the same full input. The buffers are reused
+/// across searches.
+#[derive(Debug, Clone, Default)]
+pub struct HoistedEval {
+    lanes: usize,
+    /// The first free data position.
+    start: usize,
+    /// Per lane: the hash state after absorbing everything before
+    /// `start`.
+    heads: Vec<u64>,
+    /// Absorbed terms of data positions `start..`, slot-major
+    /// (`[(i − start) · lanes + lane]`); free positions are overwritten
+    /// by each evaluation.
+    terms: Vec<u64>,
+    /// The free data positions, in the order evaluations take their
+    /// values.
+    free: Vec<usize>,
+    /// The validation-length term followed by the absorbed validation
+    /// terms, slot-major.
+    vals_terms: Vec<u64>,
+    /// Scratch hash states of the lanes being evaluated.
+    chains: Vec<u64>,
+    key: u64,
+    range: u64,
+}
+
+impl HoistedEval {
+    /// Starts a search over `lanes` inputs of `data_len` data and
+    /// `vals_len` validation values that are free at the data positions
+    /// `free`. Every lane must then be absorbed with
+    /// [`HoistedEval::prepare_lane`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `free` is empty or names a position `>= data_len`.
+    pub fn reset(
+        &mut self,
+        f: &RandomFn,
+        lanes: usize,
+        data_len: usize,
+        vals_len: usize,
+        free: &[usize],
+    ) {
+        let start = *free.iter().min().expect("at least one free position");
+        assert!(
+            free.iter().all(|&i| i < data_len),
+            "free position out of range"
+        );
+        self.lanes = lanes;
+        self.start = start;
+        self.heads.clear();
+        self.heads.resize(lanes, 0);
+        self.terms.clear();
+        self.terms.resize((data_len - start) * lanes, 0);
+        self.free.clear();
+        self.free.extend_from_slice(free);
+        self.vals_terms.clear();
+        self.vals_terms.resize((1 + vals_len) * lanes, 0);
+        self.key = f.key;
+        self.range = f.range;
+    }
+
+    /// Absorbs lane `lane`'s fixed input `(data, vals)` (its entries at
+    /// the free positions are ignored).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input shape differs from the one given to
+    /// [`HoistedEval::reset`] or `lane` is out of range.
+    pub fn prepare_lane(&mut self, lane: usize, data: &[u64], vals: &[u64]) {
+        let (lanes, start) = (self.lanes, self.start);
+        assert!(lane < lanes, "lane {lane} out of range");
+        assert_eq!(
+            self.terms.len(),
+            (data.len() - start) * lanes,
+            "data length"
+        );
+        assert_eq!(
+            self.vals_terms.len(),
+            (1 + vals.len()) * lanes,
+            "vals length"
+        );
+        let mut h = mix(self.key ^ DOMAIN_INIT);
+        h = mix(h ^ (data.len() as u64).wrapping_mul(DOMAIN_DATA));
+        for (i, &x) in data[..start].iter().enumerate() {
+            h = mix(h ^ mix(x ^ (i as u64).wrapping_mul(DOMAIN_DATA)));
+        }
+        self.heads[lane] = h;
+        for (i, &x) in data.iter().enumerate().skip(start) {
+            self.terms[(i - start) * lanes + lane] = mix(x ^ (i as u64).wrapping_mul(DOMAIN_DATA));
+        }
+        self.vals_terms[lane] = (vals.len() as u64).wrapping_mul(DOMAIN_VALS);
+        for (i, &x) in vals.iter().enumerate() {
+            self.vals_terms[(i + 1) * lanes + lane] = mix(x ^ (i as u64).wrapping_mul(DOMAIN_VALS));
+        }
+    }
+
+    /// Evaluates `f` for the lanes `which`: lane `which[a]` takes
+    /// `free_vals[a · F + j]` at free position `j` (`F` free positions),
+    /// and its output lands in `out[a]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `free_vals` holds fewer than `F` values per lane or a
+    /// lane is out of range.
+    pub fn eval_lanes(&mut self, which: &[usize], free_vals: &[u64], out: &mut Vec<u64>) {
+        let (lanes, start, nf) = (self.lanes, self.start, self.free.len());
+        assert!(
+            free_vals.len() >= which.len() * nf,
+            "one value per free slot"
+        );
+        for (a, &lane) in which.iter().enumerate() {
+            for (&i, &x) in self.free.iter().zip(&free_vals[a * nf..]) {
+                self.terms[(i - start) * lanes + lane] =
+                    mix(x ^ (i as u64).wrapping_mul(DOMAIN_DATA));
+            }
+        }
+        out.clear();
+        if let [lane] = *which {
+            // One chain: keep its state in a register.
+            let mut h = self.heads[lane];
+            for row in self.terms.chunks_exact(lanes) {
+                h = mix(h ^ row[lane]);
+            }
+            for row in self.vals_terms.chunks_exact(lanes) {
+                h = mix(h ^ row[lane]);
+            }
+            out.push(self.reduce(h));
+            return;
+        }
+        self.chains.clear();
+        self.chains
+            .extend(which.iter().map(|&lane| self.heads[lane]));
+        for row in self.terms.chunks_exact(lanes) {
+            for (h, &lane) in self.chains.iter_mut().zip(which) {
+                *h = mix(*h ^ row[lane]);
+            }
+        }
+        for row in self.vals_terms.chunks_exact(lanes) {
+            for (h, &lane) in self.chains.iter_mut().zip(which) {
+                *h = mix(*h ^ row[lane]);
+            }
+        }
+        out.extend(self.chains.iter().map(|&h| self.reduce(h)));
+    }
+
+    /// `h % range`, masked when the range is a power of two.
+    fn reduce(&self, h: u64) -> u64 {
+        if self.range.is_power_of_two() {
+            h & (self.range - 1)
+        } else {
+            h % self.range
+        }
+    }
+}
+
 /// Parameters of the phase-validation protocol family, derived from `n`
 /// (paper Section 6): `m = 2n²` and `l = ⌈10√n⌉`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -264,6 +431,52 @@ mod tests {
     #[should_panic(expected = "range must be positive")]
     fn zero_range_panics() {
         let _ = RandomFn::new(1, 0);
+    }
+
+    #[test]
+    fn hoisted_eval_matches_eval() {
+        let mut rng = ring_sim::rng::SplitMix64::new(0x4015);
+        let mut hoisted = HoistedEval::default();
+        let mut out = Vec::new();
+        for &(data_len, vals_len, lanes) in
+            &[(1usize, 0usize, 1usize), (4, 1, 3), (16, 1, 8), (9, 3, 2)]
+        {
+            let f = RandomFn::new(rng.next_u64(), 1 + rng.next_below(1 << 20));
+            // Free positions out of order and wrapping, as a segment's
+            // decoded indices are.
+            let free: Vec<usize> = [data_len - 1, 0, data_len / 2]
+                .into_iter()
+                .take(data_len.min(3))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .rev()
+                .collect();
+            let mut data: Vec<Vec<u64>> = (0..lanes)
+                .map(|_| (0..data_len).map(|_| rng.next_u64()).collect())
+                .collect();
+            let vals: Vec<Vec<u64>> = (0..lanes)
+                .map(|_| (0..vals_len).map(|_| rng.next_u64()).collect())
+                .collect();
+            hoisted.reset(&f, lanes, data_len, vals_len, &free);
+            for lane in 0..lanes {
+                hoisted.prepare_lane(lane, &data[lane], &vals[lane]);
+            }
+            for round in 0..20 {
+                // Evaluate a shrinking, reordered subset of lanes, as a
+                // search retires the lanes that found their preimage.
+                let which: Vec<usize> = (0..lanes).rev().skip(round % lanes).collect();
+                let free_vals: Vec<u64> = (0..which.len() * free.len())
+                    .map(|_| rng.next_below(64))
+                    .collect();
+                hoisted.eval_lanes(&which, &free_vals, &mut out);
+                for (a, &lane) in which.iter().enumerate() {
+                    for (j, &i) in free.iter().enumerate() {
+                        data[lane][i] = free_vals[a * free.len() + j];
+                    }
+                    assert_eq!(out[a], f.eval(&data[lane], &vals[lane]), "lane {lane}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end CLI tests of crash-safe sweeps through the `fle_lab`
-//! binary: checkpoint/resume, `--shard` + `merge-reports`, and (ignored,
-//! release-only) a real SIGKILL mid-sweep followed by a resume that must
-//! reproduce the pinned golden bytes.
+//! binary: checkpoint/resume, `--shard` + `merge-reports`, hostile input
+//! files, and (ignored, release-only) a real SIGKILL mid-sweep followed
+//! by a resume that must reproduce the pinned golden bytes.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -275,4 +275,33 @@ fn cli_shard_merge_reproduces_pinned_sha() {
         fle_harness::sha256_hex(report),
         "b48a93b6398cec11f10e77363e7e00ca7d57eeae94eaa512c600b07f78bf016c"
     );
+}
+
+/// A 200 000-deep `[[[…]]]` document — once a stack overflow (exit 134)
+/// — is a named parse error in every reader that takes files: the spec,
+/// partial-report and checkpoint parsers, and the CLI's `attack-sweep
+/// --spec` (which takes any sweep spec) and `merge-reports`, which exit
+/// 2.
+#[test]
+fn deeply_nested_json_is_a_named_exit_2_error() {
+    let depth = 200_000;
+    let doc = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let named = |e: String| assert!(e.contains("nesting deeper than 128 levels"), "{e}");
+    named(fle_harness::SweepSpec::parse_json(&doc).unwrap_err());
+    named(fle_harness::ReportPartial::parse_json(&doc).unwrap_err());
+    named(fle_harness::SweepCheckpoint::parse_json(&doc).unwrap_err());
+    let file = TempPath::new("deep_nesting");
+    std::fs::write(&file.0, &doc).expect("write deep document");
+    for args in [
+        &["attack-sweep", "--spec", file.as_str()][..],
+        &["merge-reports", file.as_str()][..],
+    ] {
+        let out = fle_lab().args(args).output().expect("spawn fle_lab");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "fle_lab {args:?}: {stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 128 levels"),
+            "{stderr}"
+        );
+    }
 }

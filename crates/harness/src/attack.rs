@@ -2,9 +2,9 @@
 //! per-worker [`AttackRunner`](fle_attacks::AttackRunner) caches.
 
 use crate::partial::ReportPartial;
-use crate::spec::AttackSweep;
-use crate::{run_batch_range, TrialOutcome, TrialReport};
-use fle_attacks::build_runner;
+use crate::spec::{AttackSweep, FnKeySpec};
+use crate::{run_batch_range_grouped, trial_seed, TrialOutcome, TrialReport, DEFAULT_BATCH_WIDTH};
+use fle_attacks::{build_runner, AttackTrialResult};
 use ring_sim::TimedNetConfig;
 
 /// Runs `batch.trials` adversarial executions of the configured attack,
@@ -18,6 +18,15 @@ use ring_sim::TimedNetConfig;
 /// steady-state trials are allocation-free. Trials whose per-instance
 /// preconditions fail count as `infeasible` (and never as successes).
 /// The report is byte-identical for every thread count.
+///
+/// On a FIFO schedule without faults, when every trial shares one
+/// `fn_key` (a fixed key, or an attack that ignores it), trials run in
+/// groups of [`DEFAULT_BATCH_WIDTH`] through the runner's lockstep path
+/// ([`fle_attacks::AttackRunner::run_group`]) — the `rushing` and
+/// `phase_rushing` attacks have one. Groups the runner cannot run in
+/// lockstep, and the ragged tail, run scalar, exactly as
+/// [`run_batch_range_grouped`] describes; the bytes are the same either
+/// way.
 ///
 /// # Errors
 ///
@@ -89,28 +98,51 @@ fn run_attack_partial_impl(
     let coalition = cfg.coalition.resolve(cfg.n)?;
     build_runner(cfg.attack, cfg.n, &coalition).map_err(|e| e.to_string())?;
     let fcfg = cfg.fault.map(|f| f.config());
-    let results = run_batch_range(
+    let one_key = matches!(cfg.fn_key, FnKeySpec::Fixed(_)) || !cfg.attack.uses_fn_key();
+    let width = if net.is_none() && fcfg.is_none() && one_key {
+        DEFAULT_BATCH_WIDTH
+    } else {
+        1
+    };
+    let lane = |r: AttackTrialResult<'_>| {
+        (
+            Some(TrialOutcome::of(r.exec)),
+            r.success,
+            r.exec.stats.crashes > 0,
+        )
+    };
+    let results = run_batch_range_grouped(
         &cfg.batch,
         start,
         end,
+        width,
         || {
             let mut runner =
                 build_runner(cfg.attack, cfg.n, &coalition).expect("layout validated above");
             runner.set_timed_net(net);
             runner.set_faults(fcfg.as_ref());
-            runner
+            (runner, Vec::new(), Vec::new())
         },
-        |runner, index, derived| {
+        |(runner, seeds, targets), gstart, out| {
+            seeds.clear();
+            targets.clear();
+            for index in gstart..gstart + width as u64 {
+                let seed = cfg
+                    .seed_mode
+                    .resolve(index, trial_seed(cfg.batch.base_seed, index));
+                seeds.push(seed);
+                targets.push(cfg.target.resolve(seed, cfg.n));
+            }
+            let fn_key = cfg.fn_key.resolve(seeds[0]);
+            runner.run_group(seeds, fn_key, targets, &mut |r| out.push(lane(r)))
+        },
+        |(runner, _, _), index, derived| {
             let seed = cfg.seed_mode.resolve(index, derived);
             let fn_key = cfg.fn_key.resolve(seed);
             let target = cfg.target.resolve(seed, cfg.n);
             match runner.run_trial(seed, fn_key, target) {
+                Ok(r) => lane(r),
                 // Infeasible trials never ran, so they never crashed.
-                Ok(r) => (
-                    Some(TrialOutcome::of(r.exec)),
-                    r.success,
-                    r.exec.stats.crashes > 0,
-                ),
                 Err(_) => (None, false, false),
             }
         },

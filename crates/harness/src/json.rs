@@ -5,7 +5,9 @@
 //! It supports the full JSON grammar except for one deliberate
 //! restriction: numbers are kept as their raw source tokens (the spec
 //! layer needs exact `u64` round-trips, which `f64` cannot provide), and
-//! only integer accessors are exposed.
+//! only integer accessors are exposed. Nesting is capped at
+//! [`Json::MAX_DEPTH`] levels, so a hostile document is a parse error
+//! rather than a stack overflow.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,16 +27,24 @@ pub enum Json {
 }
 
 impl Json {
+    /// The deepest array/object nesting [`Json::parse`] accepts. Spec,
+    /// partial and checkpoint documents are a few levels deep; the cap
+    /// keeps the recursive-descent reader far from the thread's stack
+    /// limit.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses a complete JSON document; trailing non-whitespace is an
     /// error.
     ///
     /// # Errors
     ///
-    /// A human-readable message with a byte offset on malformed input.
+    /// A human-readable message with a byte offset on malformed input,
+    /// including nesting deeper than [`Json::MAX_DEPTH`].
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -118,6 +128,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -144,6 +156,21 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses one array or object with `body`, enforcing the nesting cap.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == Json::MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {} levels at byte {}",
+                Json::MAX_DEPTH,
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = body(self);
+        self.depth -= 1;
+        value
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
@@ -159,8 +186,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected character '{}' at byte {}",
@@ -339,6 +366,21 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(Json::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(Json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        let deep_objects = format!("{}1{}", "{\"a\":".repeat(200_000), "}".repeat(200_000));
+        assert!(Json::parse(&deep_objects)
+            .unwrap_err()
+            .contains("nesting deeper"));
+        assert!(Json::parse(&nest(200_000))
+            .unwrap_err()
+            .contains("nesting deeper"));
     }
 
     #[test]

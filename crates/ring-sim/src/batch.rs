@@ -70,6 +70,19 @@ pub trait LockstepNode {
     fn on_message(&mut self, tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>);
 }
 
+/// The uninhabited node: the deviator type of a lockstep group with no
+/// coalition, so an honest group's honest/deviant slot enum compiles
+/// down to the honest node alone.
+impl LockstepNode for std::convert::Infallible {
+    fn on_wake(&mut self, _ctx: &mut LaneCtx<'_>) {
+        match *self {}
+    }
+
+    fn on_message(&mut self, _tag: u8, _lanes: &[u64], _ctx: &mut LaneCtx<'_>) {
+        match *self {}
+    }
+}
+
 /// The action handle of one batched activation — the lockstep analogue
 /// of [`crate::Ctx`].
 pub struct LaneCtx<'a> {

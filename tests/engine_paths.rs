@@ -578,6 +578,7 @@ proptest! {
                 fault: None,
             })
         };
+        let _serial = BATCH_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
         let batched = run_sweep_partial(&spec(width), start, start + len).expect("valid range");
         let scalar = run_sweep_partial(&spec(1), start, start + len).expect("valid range");
         prop_assert_eq!(batched, scalar);
@@ -590,6 +591,7 @@ proptest! {
 /// to scalar).
 #[test]
 fn batched_sweeps_match_scalar_sweeps_bytewise() {
+    let _serial = BATCH_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let spec = |protocol, batch_width| {
         SweepSpec::Honest(HonestSweep {
             protocol,
@@ -627,6 +629,7 @@ fn batched_sweeps_match_scalar_sweeps_bytewise() {
 /// chunk, so the merged report cannot depend on the split).
 #[test]
 fn batched_sweep_json_is_thread_invariant() {
+    let _serial = BATCH_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     let spec = |threads| {
         SweepSpec::Honest(HonestSweep {
             protocol: ProtocolKind::PhaseAsyncLead,
@@ -661,4 +664,363 @@ fn engine_reuse_across_seeds_matches_fresh_runs() {
         let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(7);
         assert_eq!(p.run_honest_in(&mut engine), p.run_honest(), "seed {seed}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Lockstep attack groups: the `rushing` and `phase_rushing` runners'
+// `run_group` vs their scalar `run_trial`, lane by lane, and attack
+// sweeps through the harness vs a scalar reference loop.
+
+use fle_attacks::{
+    build_runner, AttackKind, AttackRunner, PhaseRushingBatchCache, PhaseRushingLayout,
+};
+use fle_harness::{
+    run_attack_partial, AttackSweep, CoalitionSpec, FaultSpec, FnKeySpec, LatencySpec,
+    ReportPartial, SeedMode, TargetSpec, TrialOutcome,
+};
+use ring_sim::{CrashInstant, FailReason, Outcome};
+use std::sync::Mutex;
+
+/// Serializes every test of this file that runs sweeps, so a test may
+/// assert that the process-wide `batched_trials()` counter did *not*
+/// move.
+static BATCH_COUNTER: Mutex<()> = Mutex::new(());
+
+/// One lane's observable result: the full execution and the success flag,
+/// or `None` for an infeasible trial.
+type Lane = Option<(Execution, bool)>;
+
+fn scalar_lane(runner: &mut dyn AttackRunner, seed: u64, fn_key: u64, target: u64) -> Lane {
+    runner
+        .run_trial(seed, fn_key, target)
+        .ok()
+        .map(|r| (r.exec.clone(), r.success))
+}
+
+/// Runs `seeds`/`targets` as one lockstep group on `group` and lane by
+/// lane on `scalar`, asserting they agree. Returns whether the group ran
+/// in lockstep.
+fn assert_group_matches_scalar(
+    label: &str,
+    group: &mut dyn AttackRunner,
+    scalar: &mut dyn AttackRunner,
+    seeds: &[u64],
+    fn_key: u64,
+    targets: &[u64],
+) -> bool {
+    let mut lanes: Vec<Lane> = Vec::new();
+    let ran = group.run_group(seeds, fn_key, targets, &mut |r| {
+        lanes.push(Some((r.exec.clone(), r.success)))
+    });
+    if !ran {
+        assert!(lanes.is_empty(), "{label}: a refused group reported lanes");
+        return false;
+    }
+    assert_eq!(lanes.len(), seeds.len(), "{label}: one result per lane");
+    for (lane, got) in lanes.into_iter().enumerate() {
+        let want = scalar_lane(scalar, seeds[lane], fn_key, targets[lane]);
+        assert_eq!(got, want, "{label} lane {lane} vs scalar run_trial");
+        // The same group seed through the group runner's own scalar path
+        // must agree too (shared caches must not leak between paths).
+        let again = scalar_lane(group, seeds[lane], fn_key, targets[lane]);
+        assert_eq!(
+            again, want,
+            "{label} lane {lane}: group runner's scalar path"
+        );
+    }
+    true
+}
+
+/// Drives `kind` over widths 1, 2, 7 and 8 on an `(n, k, offset)`
+/// equally spaced layout, with seed-product targets, and checks every
+/// lockstep group against scalar. Feasible layouts must run in lockstep;
+/// infeasible ones must be refused (and are infeasible on the scalar
+/// path for every trial).
+fn check_attack_groups(
+    kind: AttackKind,
+    base: u64,
+    fn_key: u64,
+    n: usize,
+    k: usize,
+    offset: usize,
+) {
+    let Ok(coalition) = Coalition::equally_spaced(n, k, offset) else {
+        return;
+    };
+    let mut group = build_runner(kind, n, &coalition).expect("runner builds");
+    let mut scalar = build_runner(kind, n, &coalition).expect("runner builds");
+    let feasible = scalar.run_trial(base, fn_key, 0).is_ok();
+    let mut next = 0;
+    for width in [1usize, 2, 7, 8] {
+        let seeds: Vec<u64> = (0..width as u64)
+            .map(|j| trial_seed(base, next + j))
+            .collect();
+        next += width as u64;
+        let targets: Vec<u64> = seeds
+            .iter()
+            .map(|&s| TargetSpec::SeedProduct { multiplier: 31 }.resolve(s, n))
+            .collect();
+        let label = format!("{kind} n={n} k={k} offset={offset} width={width}");
+        let ran = assert_group_matches_scalar(
+            &label,
+            &mut *group,
+            &mut *scalar,
+            &seeds,
+            fn_key,
+            &targets,
+        );
+        assert_eq!(
+            ran, feasible,
+            "{label}: lockstep runs exactly the feasible layouts"
+        );
+        if !feasible {
+            for (&s, &t) in seeds.iter().zip(&targets) {
+                assert!(
+                    scalar.run_trial(s, fn_key, t).is_err(),
+                    "{label}: infeasible"
+                );
+            }
+        }
+    }
+    // An out-of-range target is refused for the whole group.
+    let seeds = [trial_seed(base, 100), trial_seed(base, 101)];
+    assert!(!group.run_group(&seeds, fn_key, &[0, n as u64], &mut |_| {
+        panic!("refused groups report nothing")
+    }));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn attack_batch_vs_scalar_rushing_layouts(
+        base in any::<u64>(),
+        n in 4usize..40,
+        k in 1usize..12,
+        offset in 0usize..40,
+    ) {
+        check_attack_groups(AttackKind::Rushing, base, 0, n, k, offset % n);
+    }
+
+    #[test]
+    fn attack_batch_vs_scalar_phase_rushing_layouts(
+        base in any::<u64>(),
+        key in any::<u64>(),
+        n in 4usize..40,
+        k in 1usize..12,
+        offset in 0usize..40,
+    ) {
+        check_attack_groups(AttackKind::PhaseRushing, base, key, n, k, offset % n);
+    }
+
+    /// With a one-draw search budget the preimage search usually misses,
+    /// so honest segments elect different leaders: lockstep must report
+    /// the scalar `Disagreement` outcomes lane for lane.
+    #[test]
+    fn attack_batch_phase_rushing_exhausted_search_matches_scalar(
+        base in any::<u64>(),
+        key in any::<u64>(),
+        n in 9usize..30,
+    ) {
+        let k = (n as f64).sqrt().ceil() as usize + 3;
+        let coalition = Coalition::equally_spaced(n, k, 1).expect("valid layout");
+        let layout = PhaseRushingLayout::new(&coalition).expect("feasible layout");
+        let p = PhaseAsyncLead::new(n).with_fn_key(key);
+        let attack = PhaseRushingAttack::new(0).with_search_budget(1);
+        let mut cache = PhaseRushingBatchCache::ring(n);
+        let mut scalar_cache = PhaseRushingCache::ring(n);
+        let mut exec = Execution::default();
+        let mut disagreements = 0;
+        for (g, width) in [8usize, 3, 8].into_iter().enumerate() {
+            let seeds: Vec<u64> = (0..width as u64)
+                .map(|j| trial_seed(base, 10 * g as u64 + j))
+                .collect();
+            let targets: Vec<u64> = seeds.iter().map(|&s| s % n as u64).collect();
+            prop_assert!(attack.run_batch_into(&p, &layout, &seeds, &targets, &mut cache));
+            for (lane, (&seed, &w)) in seeds.iter().zip(&targets).enumerate() {
+                cache.execution_into(lane, &mut exec);
+                let want = PhaseRushingAttack::new(w)
+                    .with_search_budget(1)
+                    .run_in(&p.with_seed(seed), &coalition, &mut scalar_cache)
+                    .expect("feasible");
+                prop_assert_eq!(&exec, want, "group {} lane {}", g, lane);
+                disagreements +=
+                    usize::from(exec.outcome == Outcome::Fail(FailReason::Disagreement));
+            }
+        }
+        // 19 trials × ≥2 honest segments, each hitting with probability
+        // 1/n per draw: all-hit groups are vanishingly rare.
+        prop_assert!(disagreements > 0, "the exhausted search never disagreed");
+    }
+}
+
+/// The scalar reference for an attack sweep range: a plain `run_trial`
+/// loop recorded into a partial, as the harness did before attack
+/// sweeps gained lockstep groups.
+fn scalar_attack_partial(cfg: &AttackSweep, start: u64, end: u64) -> ReportPartial {
+    let coalition = cfg.coalition.resolve(cfg.n).expect("valid coalition");
+    let mut runner = build_runner(cfg.attack, cfg.n, &coalition).expect("runner builds");
+    let label = format!("{}:{}", cfg.attack.protocol_name(), cfg.attack.name());
+    let mut partial =
+        ReportPartial::new_attack(&label, cfg.n, cfg.batch.base_seed, cfg.batch.trials);
+    for index in start..end {
+        let seed = cfg
+            .seed_mode
+            .resolve(index, trial_seed(cfg.batch.base_seed, index));
+        let target = cfg.target.resolve(seed, cfg.n);
+        match runner.run_trial(seed, cfg.fn_key.resolve(seed), target) {
+            Ok(r) => partial.record_attack(index, Some(TrialOutcome::of(r.exec)), r.success),
+            Err(_) => partial.record_attack(index, None, false),
+        }
+    }
+    partial
+}
+
+fn attack_sweep(
+    attack: AttackKind,
+    n: usize,
+    k: usize,
+    trials: u64,
+    threads: usize,
+) -> AttackSweep {
+    AttackSweep {
+        attack,
+        n,
+        fn_key: FnKeySpec::Fixed(9),
+        batch: BatchConfig {
+            trials,
+            base_seed: 5,
+            threads,
+        },
+        coalition: CoalitionSpec::EquallySpaced { k, offset: 1 },
+        target: TargetSpec::Fixed(3),
+        seed_mode: SeedMode::Derived,
+        schedule: ScheduleSpec::Fifo,
+        fault: None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Attack sweep ranges that do not align to the lockstep width, over
+    /// 1, 2 and 8 threads, seed-product targets and raw-index seeds,
+    /// feasible and infeasible layouts: the grouped harness path must
+    /// equal the scalar reference loop.
+    #[test]
+    fn attack_batch_partial_matches_scalar_over_arbitrary_ranges(
+        phase in any::<bool>(),
+        k in 2usize..9,
+        start in 0u64..30,
+        len in 0u64..50,
+        threads_ix in 0usize..3,
+        raw_index in any::<bool>(),
+        seed_product in any::<bool>(),
+    ) {
+        let kind = if phase { AttackKind::PhaseRushing } else { AttackKind::Rushing };
+        let mut cfg = attack_sweep(kind, 16, k, 80, [1, 2, 8][threads_ix]);
+        if raw_index {
+            cfg.seed_mode = SeedMode::RawIndex;
+        }
+        if seed_product {
+            cfg.target = TargetSpec::SeedProduct { multiplier: 31 };
+        }
+        let end = (start + len).min(80);
+        let _serial = BATCH_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+        let grouped = run_attack_partial(&cfg, start, end).expect("valid spec");
+        prop_assert_eq!(grouped, scalar_attack_partial(&cfg, start, end));
+    }
+}
+
+/// FIFO, fault-free, single-key attack sweeps run in lockstep; timed,
+/// faulted and per-seed-`fn_key` sweeps run scalar. Both give the scalar
+/// reference bytes.
+#[test]
+fn attack_batch_sweeps_engage_lockstep_only_on_plain_fifo() {
+    let _serial = BATCH_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
+    for kind in [AttackKind::Rushing, AttackKind::PhaseRushing] {
+        // 61 trials at width 8 on one thread: 7 groups and a ragged tail.
+        let cfg = attack_sweep(kind, 16, 7, 61, 1);
+        let before = batched_trials();
+        let grouped = run_attack_partial(&cfg, 0, 61).expect("valid spec");
+        assert!(
+            batched_trials() >= before + 56,
+            "{kind}: the lockstep path did not run"
+        );
+        assert_eq!(grouped, scalar_attack_partial(&cfg, 0, 61), "{kind}");
+
+        let timed = AttackSweep {
+            schedule: ScheduleSpec::Timed {
+                latency: LatencySpec::ZERO,
+                loss_permille: 0,
+                dup_permille: 0,
+            },
+            ..cfg.clone()
+        };
+        let faulted = AttackSweep {
+            fault: Some(FaultSpec {
+                crashes: 1,
+                window: CrashInstant::Deliveries(64),
+                recover: None,
+            }),
+            ..cfg.clone()
+        };
+        let per_seed_key = AttackSweep {
+            fn_key: FnKeySpec::SeedXor(0x5eed),
+            ..cfg.clone()
+        };
+        for (label, scalar_only) in [
+            ("timed", &timed),
+            ("faulted", &faulted),
+            ("per-seed fn_key", &per_seed_key),
+        ] {
+            if label == "per-seed fn_key" && !kind.uses_fn_key() {
+                continue; // the key is ignored, so lockstep is still exact
+            }
+            let before = batched_trials();
+            run_attack_partial(scalar_only, 0, 61).expect("valid spec");
+            assert_eq!(
+                batched_trials(),
+                before,
+                "{kind}: {label} sweep must run scalar"
+            );
+        }
+        assert_eq!(
+            run_attack_partial(&timed, 0, 61).expect("valid spec"),
+            grouped,
+            "{kind}: zero-profile timed ≡ FIFO"
+        );
+    }
+}
+
+/// A runner refuses lockstep groups while a timed network or crash
+/// faults are installed, and serves them again once cleared.
+#[test]
+fn attack_batch_runner_refuses_timed_and_faulted_groups() {
+    let coalition = Coalition::equally_spaced(16, 7, 1).expect("valid layout");
+    let net = ring_sim::TimedNetConfig::uniform(ring_sim::LinkProfile::default());
+    let faults = FaultSpec {
+        crashes: 1,
+        window: CrashInstant::Deliveries(64),
+        recover: None,
+    }
+    .config();
+    let seeds = [trial_seed(1, 0), trial_seed(1, 1)];
+    for kind in [AttackKind::Rushing, AttackKind::PhaseRushing] {
+        let mut runner = build_runner(kind, 16, &coalition).expect("runner builds");
+        let group =
+            |runner: &mut dyn AttackRunner| runner.run_group(&seeds, 9, &[3, 3], &mut |_| {});
+        assert!(group(&mut *runner), "{kind}: plain FIFO runs in lockstep");
+        runner.set_timed_net(Some(&net));
+        assert!(!group(&mut *runner), "{kind}: timed");
+        runner.set_timed_net(None);
+        runner.set_faults(Some(&faults));
+        assert!(!group(&mut *runner), "{kind}: faulted");
+        runner.set_faults(None);
+        assert!(group(&mut *runner), "{kind}: cleared");
+    }
+    // Every other attack kind has no lockstep path.
+    let lone = Coalition::new(16, vec![5]).expect("valid layout");
+    let mut basic = build_runner(AttackKind::BasicSingle, 16, &lone).expect("runner builds");
+    assert!(!basic.run_group(&seeds, 0, &[3, 3], &mut |_| {}));
 }

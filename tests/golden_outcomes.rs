@@ -393,6 +393,47 @@ fn attack_sweep_json_and_csv_sha256_are_pinned() {
     );
 }
 
+/// The `√n + 3` phase-rushing coalition (`k = 7` equally spaced from
+/// position 1) against `PhaseAsyncLead n=16` as a spec-level sweep: 500
+/// derived seeds, `fn_key` 9, fixed target 3. Unlike the `a05b7ec4…` pin above,
+/// this goes through `run_sweep`, so it covers the attack runner's
+/// dispatch (lockstep groups, scalar fallback, ragged tail) end to end.
+fn phase_rushing_attack_sweep(threads: usize) -> SweepSpec {
+    SweepSpec::Attack(AttackSweep {
+        attack: AttackKind::PhaseRushing,
+        n: 16,
+        fn_key: FnKeySpec::Fixed(9),
+        batch: BatchConfig {
+            trials: 500,
+            base_seed: 1,
+            threads,
+        },
+        coalition: CoalitionSpec::EquallySpaced { k: 7, offset: 1 },
+        target: TargetSpec::Fixed(3),
+        seed_mode: SeedMode::Derived,
+        schedule: ScheduleSpec::Fifo,
+        fault: None,
+    })
+}
+
+/// SHA-256 pin of the phase-rushing spec sweep's JSON, taken
+/// before attack sweeps gained their lockstep path: the batched path must
+/// reproduce the scalar bytes at every thread count.
+#[test]
+fn phase_rushing_attack_sweep_sha256_is_pinned() {
+    for threads in [1, 2, 8] {
+        let report = run_sweep(&phase_rushing_attack_sweep(threads)).expect("valid spec");
+        let arm = report.attack.as_ref().expect("attack sweeps carry the arm");
+        assert_eq!(arm.infeasible, 0);
+        assert_eq!(report.trials, 500);
+        assert_eq!(
+            sha256_hex(report.to_json().as_bytes()),
+            "ad62220c0f50050136e5c8ae682f0e34aee8da0792665c770e9a3905b4a02404",
+            "threads={threads}"
+        );
+    }
+}
+
 /// The canonical attack sweep must serialize byte-identically at every
 /// thread count (the same invariant the honest pins enjoy).
 #[test]
