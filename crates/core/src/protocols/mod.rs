@@ -234,7 +234,7 @@ pub fn run_ring_honest_into<M, N: Node<M>>(
     );
     nodes_buf.clear();
     nodes_buf.extend((0..n).map(honest));
-    engine.run_mono_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
+    engine.run_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
 }
 
 /// [`run_ring_honest_into`] with node state drawn from (and reclaimed
@@ -271,7 +271,7 @@ pub fn run_ring_honest_pooled_into<M, N: Node<M> + ArenaBacked>(
     arena.reset();
     nodes_buf.clear();
     nodes_buf.extend((0..n).map(|id| honest(id, arena)));
-    engine.run_mono_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
+    engine.run_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
     for node in nodes_buf.iter_mut() {
         node.reclaim(arena);
     }
@@ -310,7 +310,7 @@ pub fn run_ring_honest_timed_into<M: Clone, N: Node<M> + ArenaBacked>(
     arena.reset();
     nodes_buf.clear();
     nodes_buf.extend((0..n).map(|id| honest(id, arena)));
-    engine.run_timed_mono_into(
+    engine.run_timed(
         nodes_buf,
         wakes,
         timed,
@@ -459,7 +459,7 @@ pub fn run_ring_attack_into<M, N: Node<M> + ArenaBacked, D: Node<M>>(
             None => MixNode::Honest(honest(id, arena)),
         })
     });
-    engine.run_mono_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
+    engine.run_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
     for node in nodes_buf.iter_mut() {
         node.reclaim(arena);
     }
@@ -501,7 +501,7 @@ pub fn run_ring_attack_timed_into<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>
             None => MixNode::Honest(honest(id, arena)),
         })
     });
-    engine.run_timed_mono_into(
+    engine.run_timed(
         nodes_buf,
         wakes,
         timed,

@@ -24,10 +24,10 @@
 
 use super::fmt_rate_ci;
 use crate::Table;
-use fle_attacks::AttackKind;
+use fle_attacks::{build_runner, AttackKind};
 use fle_harness::{
-    run_attack_sweep, run_attack_sweep_with_net, AttackSweep, BatchConfig, CoalitionSpec,
-    FnKeySpec, LatencySpec, LinkProfile, ScheduleSpec, SeedMode, TargetSpec, TimedNetConfig,
+    run_sweep, trial_seed, AttackSweep, BatchConfig, CoalitionSpec, FnKeySpec, LatencySpec,
+    LinkProfile, ReportPartial, ScheduleSpec, SeedMode, TargetSpec, TimedNetConfig, TrialOutcome,
     TrialReport,
 };
 
@@ -77,6 +77,28 @@ fn slow_arc(slow: impl Iterator<Item = usize>) -> TimedNetConfig {
     }
 }
 
+/// Runs the attack sweep `cfg` (a FIFO spec) over the per-edge `net`
+/// instead, which a [`ScheduleSpec`] cannot express: trial by trial on
+/// one cached runner, with the seeds, targets and report the harness
+/// would give the same sweep on a uniform timed schedule.
+fn sweep_over_net(cfg: &AttackSweep, net: &TimedNetConfig) -> TrialReport {
+    let coalition = cfg.coalition.resolve(cfg.n).expect("valid coalition");
+    let mut runner = build_runner(cfg.attack, cfg.n, &coalition).expect("valid layout");
+    runner.set_timed_net(Some(net));
+    let label = format!("{}:{}", cfg.attack.protocol_name(), cfg.attack.name());
+    let (base_seed, trials) = (cfg.batch.base_seed, cfg.batch.trials);
+    let mut partial = ReportPartial::new_attack(&label, cfg.n, base_seed, trials);
+    for index in 0..trials {
+        let seed = cfg.seed_mode.resolve(index, trial_seed(base_seed, index));
+        let target = cfg.target.resolve(seed, cfg.n);
+        match runner.run_trial(seed, cfg.fn_key.resolve(seed), target) {
+            Ok(r) => partial.record_attack(index, Some(TrialOutcome::of(r.exec)), r.success),
+            Err(_) => partial.record_attack(index, None, false),
+        }
+    }
+    partial.finish().expect("every trial recorded")
+}
+
 /// A uniform timed schedule with the given latency and loss.
 fn timed(latency: LatencySpec, loss_permille: u32) -> ScheduleSpec {
     ScheduleSpec::Timed {
@@ -105,23 +127,26 @@ pub fn run(quick: bool) -> Vec<Table> {
         &["scenario (FIFO links)", "Pr[w] ± ci", "msgs mean"],
     );
     for (label, report) in [
-        ("untimed fifo", run_attack_sweep(&fifo).expect("valid spec")),
+        (
+            "untimed fifo",
+            run_sweep(&fifo.clone().into()).expect("valid spec"),
+        ),
         (
             "timed, zero latency",
-            run_attack_sweep(&spec(trials, timed(LatencySpec::ZERO, 0))).expect("valid spec"),
+            run_sweep(&spec(trials, timed(LatencySpec::ZERO, 0)).into()).expect("valid spec"),
         ),
         (
             "const 100ns everywhere",
-            run_attack_sweep(&spec(trials, timed(LatencySpec::Constant { ns: 100 }, 0)))
+            run_sweep(&spec(trials, timed(LatencySpec::Constant { ns: 100 }, 0)).into())
                 .expect("valid spec"),
         ),
         (
             "slow arc over coalition",
-            run_attack_sweep_with_net(&fifo, &slow_arc(1..=K)).expect("valid spec"),
+            sweep_over_net(&fifo, &slow_arc(1..=K)),
         ),
         (
             "slow arc over honest seg",
-            run_attack_sweep_with_net(&fifo, &slow_arc((K + 1..N).chain([0]))).expect("valid spec"),
+            sweep_over_net(&fifo, &slow_arc((K + 1..N).chain([0]))),
         ),
     ] {
         a.row_vec(rate_cells(label, &report));
@@ -133,23 +158,27 @@ pub fn run(quick: bool) -> Vec<Table> {
         "timed-b: the same attack outside the FIFO reliable-link model",
         &["scenario", "Pr[w] ± ci", "msgs mean", "(1-p)^M"],
     );
-    let base_msgs = run_attack_sweep(&fifo).expect("valid spec").messages.mean;
-    let jitter = run_attack_sweep(&spec(
-        trials,
-        timed(LatencySpec::Uniform { lo: 0, hi: 1000 }, 0),
-    ))
-    .expect("valid spec");
-    let stalls = run_attack_sweep(&spec(
-        trials,
-        timed(
-            LatencySpec::TwoPoint {
-                lo: 10,
-                hi: 1000,
-                hi_permille: 50,
-            },
-            0,
-        ),
-    ))
+    let base_msgs = run_sweep(&fifo.clone().into())
+        .expect("valid spec")
+        .messages
+        .mean;
+    let jitter =
+        run_sweep(&spec(trials, timed(LatencySpec::Uniform { lo: 0, hi: 1000 }, 0)).into())
+            .expect("valid spec");
+    let stalls = run_sweep(
+        &spec(
+            trials,
+            timed(
+                LatencySpec::TwoPoint {
+                    lo: 10,
+                    hi: 1000,
+                    hi_permille: 50,
+                },
+                0,
+            ),
+        )
+        .into(),
+    )
     .expect("valid spec");
     for (label, report) in [("jitter U(0,1000)ns", jitter), ("5% stalls x100", stalls)] {
         let mut cells = rate_cells(label, &report);
@@ -158,7 +187,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
     for loss in [2u32, 5, 25, 250] {
         let report =
-            run_attack_sweep(&spec(trials, timed(LatencySpec::ZERO, loss))).expect("valid spec");
+            run_sweep(&spec(trials, timed(LatencySpec::ZERO, loss)).into()).expect("valid spec");
         let pred = (1.0 - f64::from(loss) / 1000.0).powf(base_msgs);
         let mut cells = rate_cells(&format!("loss {loss} permille"), &report);
         cells.push(format!("{pred:.3}"));

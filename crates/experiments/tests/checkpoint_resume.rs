@@ -305,3 +305,32 @@ fn deeply_nested_json_is_a_named_exit_2_error() {
         );
     }
 }
+
+/// A lockstep width above `MAX_BATCH_WIDTH` — `u64::MAX` once panicked
+/// with `capacity overflow` (exit 101) — is a named spec error on the
+/// CLI's exit-2 path.
+#[test]
+fn oversized_batch_width_is_a_named_exit_2_error() {
+    for batch in ["1025", "18446744073709551615"] {
+        let out = fle_lab()
+            .args([
+                "sweep",
+                "--protocol",
+                "phase",
+                "--n",
+                "8",
+                "--trials",
+                "16",
+                "--batch",
+                batch,
+            ])
+            .output()
+            .expect("spawn fle_lab");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--batch {batch}: {stderr}");
+        assert!(
+            stderr.contains("batch_width") && stderr.contains("1024"),
+            "--batch {batch}: {stderr}"
+        );
+    }
+}

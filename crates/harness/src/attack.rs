@@ -3,21 +3,19 @@
 
 use crate::partial::ReportPartial;
 use crate::spec::{AttackSweep, FnKeySpec};
-use crate::{run_batch_range_grouped, trial_seed, TrialOutcome, TrialReport, DEFAULT_BATCH_WIDTH};
+use crate::{run_batch_range_grouped, trial_seed, TrialOutcome, DEFAULT_BATCH_WIDTH};
 use fle_attacks::{build_runner, AttackTrialResult};
-use ring_sim::TimedNetConfig;
 
-/// Runs `batch.trials` adversarial executions of the configured attack,
-/// one deterministic seed per trial, and aggregates them into a
-/// [`TrialReport`] whose `attack` arm carries the success/infeasible
-/// counts and the Wilson 95% CI on the success rate.
+/// Runs trials `start..end` of an adversarial sweep of the configured
+/// attack into a mergeable [`ReportPartial`] whose `attack` arm carries
+/// the success and infeasible counts (see
+/// [`run_sweep_partial`](crate::run_sweep_partial)).
 ///
 /// Each worker thread builds one cached runner
 /// ([`fle_attacks::build_runner`]) in `make_worker`: protocol base,
 /// engine, scheduler, arena and result buffers are all reused, so
 /// steady-state trials are allocation-free. Trials whose per-instance
 /// preconditions fail count as `infeasible` (and never as successes).
-/// The report is byte-identical for every thread count.
 ///
 /// On a FIFO schedule without faults, when every trial shares one
 /// `fn_key` (a fixed key, or an attack that ignores it), trials run in
@@ -30,66 +28,11 @@ use ring_sim::TimedNetConfig;
 ///
 /// # Errors
 ///
-/// If the spec is invalid (unresolvable coalition, layout rejected by
-/// the runner) — the same conditions
-/// [`SweepSpec::validate`](crate::SweepSpec::validate) reports. A
-/// malformed spec is a `Result`, never a worker panic, so a long-running
-/// multi-sweep process survives it.
-pub fn run_attack_sweep(cfg: &AttackSweep) -> Result<TrialReport, String> {
-    run_attack_partial(cfg, 0, cfg.batch.trials)?.finish()
-}
-
-/// [`run_attack_sweep`] with an explicit (possibly asymmetric, per-edge)
-/// [`TimedNetConfig`] instead of the uniform net implied by
-/// `cfg.schedule`. This is the entry point for experiments that place
-/// slow links *relative to the coalition* (e.g. adversary placement vs.
-/// asymmetric latency); everything else — batching, seed streams, report
-/// aggregation, thread-count invariance — is identical.
-///
-/// # Errors
-///
-/// As for [`run_attack_sweep`].
-pub fn run_attack_sweep_with_net(
+/// If the coalition does not resolve or the runner rejects the layout —
+/// the same conditions [`SweepSpec::validate`](crate::SweepSpec::validate)
+/// reports.
+pub(crate) fn attack_partial(
     cfg: &AttackSweep,
-    net: &TimedNetConfig,
-) -> Result<TrialReport, String> {
-    run_attack_partial_impl(cfg, Some(net), 0, cfg.batch.trials)?.finish()
-}
-
-/// Runs trials `start..end` of the attack sweep (global indices and
-/// seeds) into a mergeable [`ReportPartial`]. Panicking trials are
-/// contained as recorded faults; infeasible trials count as such.
-///
-/// # Errors
-///
-/// As for [`run_attack_sweep`].
-pub fn run_attack_partial(
-    cfg: &AttackSweep,
-    start: u64,
-    end: u64,
-) -> Result<ReportPartial, String> {
-    let net = cfg.schedule.timed_net();
-    run_attack_partial_impl(cfg, net.as_ref(), start, end)
-}
-
-/// [`run_attack_partial`] with an explicit [`TimedNetConfig`], the
-/// range form of [`run_attack_sweep_with_net`].
-///
-/// # Errors
-///
-/// As for [`run_attack_sweep`].
-pub fn run_attack_partial_with_net(
-    cfg: &AttackSweep,
-    net: &TimedNetConfig,
-    start: u64,
-    end: u64,
-) -> Result<ReportPartial, String> {
-    run_attack_partial_impl(cfg, Some(net), start, end)
-}
-
-fn run_attack_partial_impl(
-    cfg: &AttackSweep,
-    net: Option<&TimedNetConfig>,
     start: u64,
     end: u64,
 ) -> Result<ReportPartial, String> {
@@ -97,6 +40,7 @@ fn run_attack_partial_impl(
     // the coalition must resolve and the runner must accept the layout.
     let coalition = cfg.coalition.resolve(cfg.n)?;
     build_runner(cfg.attack, cfg.n, &coalition).map_err(|e| e.to_string())?;
+    let net = cfg.schedule.timed_net();
     let fcfg = cfg.fault.map(|f| f.config());
     let one_key = matches!(cfg.fn_key, FnKeySpec::Fixed(_)) || !cfg.attack.uses_fn_key();
     let width = if net.is_none() && fcfg.is_none() && one_key {
@@ -119,7 +63,7 @@ fn run_attack_partial_impl(
         || {
             let mut runner =
                 build_runner(cfg.attack, cfg.n, &coalition).expect("layout validated above");
-            runner.set_timed_net(net);
+            runner.set_timed_net(net.as_ref());
             runner.set_faults(fcfg.as_ref());
             (runner, Vec::new(), Vec::new())
         },
@@ -173,6 +117,7 @@ fn run_attack_partial_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_sweep;
     use crate::spec::{CoalitionSpec, FnKeySpec, ScheduleSpec, SeedMode, TargetSpec};
     use crate::BatchConfig;
     use fle_attacks::{AttackKind, RushingAttack};
@@ -199,10 +144,10 @@ mod tests {
 
     #[test]
     fn attack_sweep_is_thread_count_invariant() {
-        let baseline = run_attack_sweep(&rushing_sweep(1, SeedMode::Derived)).expect("valid");
+        let baseline = run_sweep(&rushing_sweep(1, SeedMode::Derived).into()).expect("valid");
         for threads in [2, 8] {
             let report =
-                run_attack_sweep(&rushing_sweep(threads, SeedMode::Derived)).expect("valid");
+                run_sweep(&rushing_sweep(threads, SeedMode::Derived).into()).expect("valid");
             assert_eq!(report.to_json(), baseline.to_json(), "threads={threads}");
             assert_eq!(report.to_csv(), baseline.to_csv(), "threads={threads}");
         }
@@ -211,14 +156,14 @@ mod tests {
     #[test]
     fn zero_profile_timed_attack_sweep_matches_fifo() {
         use ring_sim::LatencySpec;
-        let fifo = run_attack_sweep(&rushing_sweep(1, SeedMode::Derived)).expect("valid");
+        let fifo = run_sweep(&rushing_sweep(1, SeedMode::Derived).into()).expect("valid");
         let mut timed_cfg = rushing_sweep(1, SeedMode::Derived);
         timed_cfg.schedule = ScheduleSpec::Timed {
             latency: LatencySpec::ZERO,
             loss_permille: 0,
             dup_permille: 0,
         };
-        let timed = run_attack_sweep(&timed_cfg).expect("valid");
+        let timed = run_sweep(&timed_cfg.into()).expect("valid");
         assert_eq!(timed.to_json(), fifo.to_json());
     }
 
@@ -227,7 +172,7 @@ mod tests {
         // The pre-spec experiment tables looped `for seed in 0..trials`
         // and ran the attack directly; RawIndex mode must reproduce that
         // stream exactly.
-        let report = run_attack_sweep(&rushing_sweep(1, SeedMode::RawIndex)).expect("valid");
+        let report = run_sweep(&rushing_sweep(1, SeedMode::RawIndex).into()).expect("valid");
         let coalition = Coalition::equally_spaced(16, 7, 1).unwrap();
         let attack = RushingAttack::new(3);
         let mut successes = 0;
@@ -249,7 +194,7 @@ mod tests {
         // k > n cannot resolve; historically this panicked inside a worker.
         let mut cfg = rushing_sweep(1, SeedMode::Derived);
         cfg.coalition = CoalitionSpec::EquallySpaced { k: 99, offset: 0 };
-        let err = run_attack_sweep(&cfg).unwrap_err();
+        let err = run_sweep(&cfg.into()).unwrap_err();
         assert!(err.contains("coalition"), "unexpected message: {err}");
     }
 
@@ -273,7 +218,7 @@ mod tests {
             schedule: ScheduleSpec::Fifo,
             fault: None,
         };
-        let report = run_attack_sweep(&cfg).expect("valid");
+        let report = run_sweep(&cfg.into()).expect("valid");
         let arm = report.attack.expect("attack arm");
         assert_eq!(arm.infeasible, 10);
         assert_eq!(arm.successes, 0);

@@ -110,66 +110,7 @@ pub fn run_batch_range<W, T: Send>(
     make_worker: impl Fn() -> W + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
-    assert!(
-        start <= end && end <= cfg.trials,
-        "trial range {start}..{end} outside batch of {} trials",
-        cfg.trials
-    );
-    let len = end - start;
-    let threads = {
-        let t = if cfg.threads == 0 {
-            default_threads()
-        } else {
-            cfg.threads
-        };
-        t.clamp(1, len.max(1) as usize)
-    };
-    let base_seed = cfg.base_seed;
-    let run_one = |worker: &mut W, index: u64| -> Result<T, TrialFault> {
-        let seed = trial_seed(base_seed, index);
-        catch_unwind(AssertUnwindSafe(|| trial(worker, index, seed))).map_err(|payload| {
-            TrialFault {
-                index,
-                seed,
-                message: panic_message(payload),
-            }
-        })
-    };
-    if threads <= 1 || len <= 1 {
-        let mut worker = make_worker();
-        let mut out = Vec::with_capacity(len as usize);
-        for index in start..end {
-            let result = run_one(&mut worker, index);
-            if result.is_err() {
-                worker = make_worker();
-            }
-            out.push(result);
-        }
-        return out;
-    }
-    let mut slots: Vec<Option<Result<T, TrialFault>>> = (0..len).map(|_| None).collect();
-    let chunk = slots.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, piece) in slots.chunks_mut(chunk).enumerate() {
-            let run_one = &run_one;
-            let make_worker = &make_worker;
-            scope.spawn(move || {
-                let mut worker = make_worker();
-                for (i, slot) in piece.iter_mut().enumerate() {
-                    let index = start + (t * chunk + i) as u64;
-                    let result = run_one(&mut worker, index);
-                    if result.is_err() {
-                        worker = make_worker();
-                    }
-                    *slot = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    run_batch_range_grouped(cfg, start, end, 1, make_worker, |_, _, _| false, trial)
 }
 
 /// Process-wide count of trials that completed on a lockstep batch fast
@@ -195,13 +136,14 @@ pub fn batched_trials() -> u64 {
 /// results for global trials `group_start..group_start + width` (in
 /// order) and return `true`, or return `false` leaving the batch
 /// attempt's results unused. Groups are aligned to each worker piece's
-/// start, and the pieces are the same chunks [`run_batch_range`] uses —
-/// so for a given `(threads, start, end)` the scalar path serves exactly
-/// the same indices whether a checkpoint resume or shard split lands
-/// mid-chunk or not, and results are bit-identical to the all-scalar
-/// runner in every case.
+/// start, and the pieces are the same chunks for every width — so for a
+/// given `(threads, start, end)` the scalar path serves exactly the same
+/// indices whether a checkpoint resume or shard split lands mid-chunk or
+/// not, and results are bit-identical to the all-scalar runner in every
+/// case.
 ///
-/// A `width` of 0 or 1 delegates to [`run_batch_range`] unchanged.
+/// A `width` of 0 or 1 never calls `group`: every trial runs through
+/// `trial`, exactly as in [`run_batch_range`].
 ///
 /// # Panics
 ///
@@ -215,9 +157,6 @@ pub fn run_batch_range_grouped<W, T: Send>(
     group: impl Fn(&mut W, u64, &mut Vec<T>) -> bool + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
-    if width <= 1 {
-        return run_batch_range(cfg, start, end, make_worker, trial);
-    }
     assert!(
         start <= end && end <= cfg.trials,
         "trial range {start}..{end} outside batch of {} trials",
@@ -247,11 +186,12 @@ pub fn run_batch_range_grouped<W, T: Send>(
     // `piece_start..piece_start + piece.len()`.
     let run_piece = |piece: &mut [Option<Result<T, TrialFault>>], piece_start: u64| {
         let mut worker = make_worker();
-        let mut buf: Vec<T> = Vec::with_capacity(width);
+        let grouped = width > 1 && width <= piece.len();
+        let mut buf: Vec<T> = Vec::with_capacity(if grouped { width } else { 0 });
         let mut i = 0usize;
         while i < piece.len() {
             let index = piece_start + i as u64;
-            if piece.len() - i >= width {
+            if grouped && piece.len() - i >= width {
                 buf.clear();
                 let ok = catch_unwind(AssertUnwindSafe(|| group(&mut worker, index, &mut buf)));
                 match ok {
@@ -281,7 +221,8 @@ pub fn run_batch_range_grouped<W, T: Send>(
                 }
                 i += width;
             } else {
-                // Ragged tail shorter than the batch width: scalar.
+                // Scalar: no grouping, or the ragged tail shorter than
+                // the batch width.
                 let result = run_one(&mut worker, index);
                 if result.is_err() {
                     worker = make_worker();

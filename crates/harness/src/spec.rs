@@ -932,18 +932,12 @@ impl SweepSpec {
                     "honest sweep",
                 )?;
                 let protocol: ProtocolKind = req_str(&v, "protocol", "honest sweep")?.parse()?;
-                let batch_width = opt_u64(&v, "batch_width", 0)? as usize;
-                if batch_width > MAX_BATCH_WIDTH {
-                    return Err(format!(
-                        "honest sweep: \"batch_width\" must be at most {MAX_BATCH_WIDTH}"
-                    ));
-                }
                 Ok(SweepSpec::Honest(HonestSweep {
                     protocol,
                     n: req_usize(&v, "n", "honest sweep")?,
                     fn_key: opt_u64(&v, "fn_key", 0)?,
                     batch: parse_batch(&v)?,
-                    batch_width,
+                    batch_width: opt_u64(&v, "batch_width", 0)? as usize,
                     schedule: parse_schedule(&v)?,
                     fault: parse_fault(&v)?,
                 }))
@@ -1044,15 +1038,19 @@ impl SweepSpec {
     pub fn validate(&self) -> Result<(), String> {
         match self {
             SweepSpec::Honest(h) => {
-                let min = match h.protocol {
-                    ProtocolKind::BasicLead | ProtocolKind::ALeadUni => 2,
-                    ProtocolKind::PhaseAsyncLead | ProtocolKind::PhaseSumLead => 4,
-                };
+                let min = h.protocol.min_n();
                 require(
                     h.n >= min,
                     &format!("{} needs n >= {min}, got n={}", h.protocol.name(), h.n),
                 )?;
                 require(h.batch.trials >= 1, "trials must be >= 1")?;
+                require(
+                    h.batch_width <= MAX_BATCH_WIDTH,
+                    &format!(
+                        "batch_width must be at most {MAX_BATCH_WIDTH}, got {}",
+                        h.batch_width
+                    ),
+                )?;
                 h.schedule.validate()?;
                 if let Some(f) = &h.fault {
                     f.validate(h.n, &h.schedule)?;

@@ -1,20 +1,18 @@
 //! Protocol-level batch sweeps with per-worker engine reuse.
 
+use crate::attack::attack_partial;
 use crate::partial::ReportPartial;
 use crate::spec::{FaultSpec, ScheduleSpec, SweepSpec};
-use crate::{
-    run_attack_partial, run_attack_sweep, run_batch_range, run_batch_range_grouped,
-    run_tree_partial, run_tree_sweep, trial_seed, BatchConfig, TrialFault, TrialOutcome,
-    TrialReport,
-};
+use crate::tree::tree_partial;
+use crate::{run_batch_range_grouped, trial_seed, BatchConfig, TrialOutcome, TrialReport};
 use fle_core::protocols::{
     run_ring_honest_pooled_into, run_ring_honest_timed_into, ALeadBatchCache, ALeadNode, ALeadUni,
     BasicBatchCache, BasicLead, BasicNode, PhaseAsyncLead, PhaseBatchCache, PhaseMsg, PhaseNode,
     PhaseSumLead,
 };
 use ring_sim::{
-    ArenaBacked, Engine, Execution, FaultConfig, FaultPlan, FifoScheduler, Node, NodeId,
-    TimedNetConfig, TimedScheduler, Topology, TrialArena,
+    ArenaBacked, Engine, Execution, FaultPlan, FifoScheduler, Node, NodeId, TimedScheduler,
+    Topology, TrialArena,
 };
 
 /// The ring protocols the harness can sweep.
@@ -38,6 +36,14 @@ impl ProtocolKind {
         ProtocolKind::PhaseAsyncLead,
         ProtocolKind::PhaseSumLead,
     ];
+
+    /// The smallest ring the protocol runs on.
+    pub fn min_n(&self) -> usize {
+        match self {
+            ProtocolKind::BasicLead | ProtocolKind::ALeadUni => 2,
+            ProtocolKind::PhaseAsyncLead | ProtocolKind::PhaseSumLead => 4,
+        }
+    }
 
     /// The protocol's display name (matches
     /// [`fle_core::protocols::FleProtocol::name`]).
@@ -125,462 +131,273 @@ impl HonestSweep {
     }
 }
 
-/// Per-worker state of one honest protocol sweep: a reusable [`Engine`],
-/// the monomorphized node vector, the (constant) wake list, a pooled FIFO
-/// scheduler, the per-worker [`TrialArena`] node-state pool and the reused
-/// [`Execution`] out-parameter. Once every buffer has reached its
-/// steady-state capacity — after the first trial — a trial performs *no*
-/// heap allocation at all, node construction included (phase-node stores
-/// are drawn from and reclaimed into the arena).
-struct SweepWorker<M, N> {
-    engine: Engine<M>,
-    nodes: Vec<N>,
+/// A ring protocol as the honest sweep drives it: a seed-free base
+/// instance built once per worker, seeded per trial, whose nodes draw
+/// their state from the worker's [`TrialArena`], plus its lockstep batch
+/// entry point.
+trait SweepProtocol {
+    type Msg: Clone;
+    type Node: Node<Self::Msg> + ArenaBacked;
+    type Cache;
+    fn base(n: usize, fn_key: u64) -> Self;
+    fn seeded(&self, seed: u64) -> Self;
+    fn node(&self, id: NodeId, arena: &mut TrialArena) -> Self::Node;
+    fn ring_wakes(&self) -> Vec<NodeId>;
+    fn cache(n: usize) -> Self::Cache;
+    fn run_batch(&self, seeds: &[u64], cache: &mut Self::Cache) -> bool;
+    fn lane(cache: &Self::Cache, lane: usize, out: &mut Execution);
+}
+
+macro_rules! sweep_protocol {
+    ($p:ty, $msg:ty, $node:ty, $cache:ty, |$n:ident, $key:ident| $base:expr) => {
+        impl SweepProtocol for $p {
+            type Msg = $msg;
+            type Node = $node;
+            type Cache = $cache;
+            fn base($n: usize, $key: u64) -> Self {
+                $base
+            }
+            fn seeded(&self, seed: u64) -> Self {
+                self.clone().with_seed(seed)
+            }
+            fn node(&self, id: NodeId, arena: &mut TrialArena) -> $node {
+                self.honest_ring_node_in(id, arena)
+            }
+            fn ring_wakes(&self) -> Vec<NodeId> {
+                self.wakes()
+            }
+            fn cache(n: usize) -> $cache {
+                <$cache>::ring(n)
+            }
+            fn run_batch(&self, seeds: &[u64], cache: &mut $cache) -> bool {
+                self.run_honest_batch_into(seeds, cache)
+            }
+            fn lane(cache: &$cache, lane: usize, out: &mut Execution) {
+                cache.execution_into(lane, out)
+            }
+        }
+    };
+}
+
+sweep_protocol!(BasicLead, u64, BasicNode, BasicBatchCache, |n, _key| {
+    BasicLead::new(n)
+});
+sweep_protocol!(ALeadUni, u64, ALeadNode, ALeadBatchCache, |n, _key| {
+    ALeadUni::new(n)
+});
+sweep_protocol!(
+    PhaseAsyncLead,
+    PhaseMsg,
+    PhaseNode,
+    PhaseBatchCache,
+    |n, key| PhaseAsyncLead::new(n).with_fn_key(key)
+);
+sweep_protocol!(
+    PhaseSumLead,
+    PhaseMsg,
+    PhaseNode,
+    PhaseBatchCache,
+    |n, _key| PhaseSumLead::new(n)
+);
+
+/// Per-worker state of one honest protocol sweep: the hoisted protocol
+/// instance (its seed-independent state — `PhaseParams`, the keyed
+/// `RandomFn`, the ring size — is built once per worker), a reusable
+/// [`Engine`], the monomorphized node vector, the (constant) wake list,
+/// the FIFO and timed schedulers, the [`TrialArena`] node-state pool, the
+/// reused [`Execution`] out-parameter and fault plan, and — when the
+/// sweep runs lockstep groups — the lane cache. Once every buffer has
+/// reached its steady-state capacity a trial performs *no* heap
+/// allocation at all, node construction included.
+struct SweepWorker<P: SweepProtocol> {
+    base: P,
+    engine: Engine<P::Msg>,
+    nodes: Vec<P::Node>,
     wakes: Vec<NodeId>,
-    scheduler: FifoScheduler,
-    timed: TimedScheduler<M>,
+    fifo: FifoScheduler,
+    timed: TimedScheduler<P::Msg>,
     arena: TrialArena,
     exec: Execution,
+    plan: FaultPlan,
+    cache: Option<P::Cache>,
+    seeds: Vec<u64>,
 }
 
-impl<M: Clone, N: Node<M> + ArenaBacked> SweepWorker<M, N> {
-    fn new(n: usize, wakes: Vec<NodeId>) -> Self {
-        Self {
-            engine: Engine::new(Topology::ring(n)),
-            nodes: Vec::with_capacity(n),
-            wakes,
-            scheduler: FifoScheduler::new(),
-            timed: TimedScheduler::new(),
-            arena: TrialArena::new(),
-            exec: Execution::default(),
-        }
-    }
+/// What one honest trial hands back for recording: its [`TrialOutcome`]
+/// and, on fault sweeps, whether a planned crash fired. Fault-free sweeps
+/// keep the bare outcome, so their per-trial result slots stay small.
+trait HonestRecord: Send {
+    fn of(exec: &Execution) -> Self;
+    fn record(self, partial: &mut ReportPartial, index: u64);
+}
 
-    /// Runs one honest trial through the monomorphized, arena-pooled
-    /// engine fast path, reusing every worker buffer, and reduces it to
-    /// its [`TrialOutcome`].
-    fn trial(&mut self, honest: impl FnMut(NodeId, &mut TrialArena) -> N) -> TrialOutcome {
-        let n = self.engine.topology().len();
-        run_ring_honest_pooled_into(
-            &mut self.engine,
-            n,
-            honest,
-            &self.wakes,
-            &mut self.nodes,
-            &mut self.scheduler,
-            &mut self.arena,
-            &mut self.exec,
-        );
-        TrialOutcome::of(&self.exec)
+impl HonestRecord for TrialOutcome {
+    fn of(exec: &Execution) -> Self {
+        TrialOutcome::of(exec)
     }
-
-    /// The timed-network twin of [`SweepWorker::trial`]: same pooled
-    /// buffers, but deliveries run on the virtual-time scheduler with the
-    /// trial's network stream derived from `seed`.
-    fn trial_timed(
-        &mut self,
-        honest: impl FnMut(NodeId, &mut TrialArena) -> N,
-        net: &TimedNetConfig,
-        seed: u64,
-    ) -> TrialOutcome {
-        let n = self.engine.topology().len();
-        run_ring_honest_timed_into(
-            &mut self.engine,
-            n,
-            honest,
-            &self.wakes,
-            &mut self.nodes,
-            &mut self.timed,
-            net,
-            seed,
-            &mut self.arena,
-            &mut self.exec,
-        );
-        TrialOutcome::of(&self.exec)
+    fn record(self, partial: &mut ReportPartial, index: u64) {
+        partial.record(index, self);
     }
 }
 
-/// Runs `batch.trials` honest executions of the configured protocol, one
-/// deterministic seed per trial, and aggregates them into a
-/// [`TrialReport`].
-///
-/// Each worker thread owns one sweep worker — a reusable [`Engine`] plus
-/// monomorphized node, scheduler, arena and result buffers — and one
-/// hoisted protocol instance: the seed-independent state
-/// (`PhaseParams`, the keyed `RandomFn`, the ring size) is built *once*
-/// per worker in `make_worker`, and each trial derives its seeded copy
-/// from it, so steady-state trials allocate nothing. The report (and its
-/// JSON/CSV serializations) is byte-identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if `n` is below the protocol's minimum ring size.
-pub fn run_honest_sweep(cfg: &HonestSweep) -> TrialReport {
-    run_honest_partial(cfg, 0, cfg.batch.trials)
-        .finish()
-        .expect("full-range partial always finishes")
-}
-
-/// Runs trials `start..end` of the honest sweep (global indices and
-/// seeds, as in [`run_batch_range_grouped`]) into a mergeable
-/// [`ReportPartial`].
-/// Panicking trials are contained as recorded faults.
-///
-/// `run_honest_partial(cfg, 0, trials).finish()` is exactly
-/// [`run_honest_sweep`]; disjoint ranges merge to the same bytes.
-///
-/// # Panics
-///
-/// Panics if `n` is below the protocol's minimum ring size or the range
-/// is out of bounds.
-pub fn run_honest_partial(cfg: &HonestSweep, start: u64, end: u64) -> ReportPartial {
-    if let Some(fspec) = &cfg.fault {
-        return run_honest_faulty_partial(cfg, fspec, start, end);
+impl HonestRecord for (TrialOutcome, bool) {
+    fn of(exec: &Execution) -> Self {
+        (TrialOutcome::of(exec), exec.stats.crashes > 0)
     }
-    let n = cfg.n;
-    let width = cfg.resolved_batch_width();
-    let base_seed = cfg.batch.base_seed;
-    let net = cfg.schedule.timed_net();
-    let net = net.as_ref();
-    /// Fills `seeds` with the lockstep group's per-lane trial seeds —
-    /// exactly the seeds the scalar path would derive for those indices.
-    fn group_seeds(seeds: &mut Vec<u64>, base_seed: u64, gstart: u64, width: usize) {
-        seeds.clear();
-        seeds.extend((0..width as u64).map(|j| trial_seed(base_seed, gstart + j)));
+    fn record(self, partial: &mut ReportPartial, index: u64) {
+        partial.record_faulty(index, self.0, self.1);
     }
-    let outcomes = match cfg.protocol {
-        ProtocolKind::BasicLead => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = BasicLead::new(n);
-                let w = SweepWorker::<u64, BasicNode>::new(n, p.wakes());
-                (w, p, BasicBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::ALeadUni => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = ALeadUni::new(n);
-                let w = SweepWorker::<u64, ALeadNode>::new(n, p.wakes());
-                (w, p, ALeadBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseAsyncLead => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = PhaseAsyncLead::new(n).with_fn_key(cfg.fn_key);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p, PhaseBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseSumLead => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = PhaseSumLead::new(n);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p, PhaseBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-    };
-    let mut partial = ReportPartial::new_honest(
-        cfg.protocol.name(),
-        n,
-        cfg.batch.base_seed,
-        cfg.batch.trials,
-    );
-    record_honest(&mut partial, start, outcomes);
-    partial
 }
 
-/// Runs the scalar trials of a fault-enabled honest sweep: each trial
-/// draws its [`FaultPlan`] from the trial seed's fault stream
-/// ([`ring_sim::FAULT_STREAM_SALT`]) and installs it on the worker's
-/// engine before running, and returns `(outcome, crashed)` where
-/// `crashed` says whether at least one planned crash fired.
-fn run_faulty_trials<M: Clone, N: Node<M> + ArenaBacked, P>(
-    batch: &BatchConfig,
-    start: u64,
-    end: u64,
-    n: usize,
-    fcfg: &FaultConfig,
-    make: impl Fn() -> (SweepWorker<M, N>, P) + Sync,
-    trial: impl Fn(&mut SweepWorker<M, N>, &P, u64) -> TrialOutcome + Sync,
-) -> Vec<Result<(TrialOutcome, bool), TrialFault>> {
-    run_batch_range(
-        batch,
-        start,
-        end,
-        || {
-            let (w, p) = make();
-            (w, p, FaultPlan::none())
-        },
-        |(w, p, plan), _i, seed| {
-            plan.draw_into(fcfg, n, seed);
-            w.engine.set_fault_plan(plan);
-            let out = trial(w, p, seed);
-            (out, w.exec.stats.crashes > 0)
-        },
-    )
+/// Trials `start..end` of an honest sweep, recorded with crash counters
+/// exactly when the spec injects faults.
+fn honest_partial<P: SweepProtocol>(cfg: &HonestSweep, start: u64, end: u64) -> ReportPartial {
+    match cfg.fault {
+        None => honest_trials::<P, TrialOutcome>(cfg, start, end),
+        Some(_) => honest_trials::<P, (TrialOutcome, bool)>(cfg, start, end),
+    }
 }
 
-/// The fault-enabled twin of [`run_honest_partial`]'s body: always
-/// scalar (see [`HonestSweep::resolved_batch_width`]), and the returned
-/// partial carries the crash counters
-/// ([`ReportPartial::with_faults`]).
-fn run_honest_faulty_partial(
+/// The one honest trial body: trials `start..end` of `cfg` through
+/// [`run_batch_range_grouped`], lockstep groups where the sweep's
+/// resolved width allows them, and one scalar closure that draws the
+/// trial's [`FaultPlan`] when the spec has one and runs the timed or the
+/// pooled FIFO engine path.
+fn honest_trials<P: SweepProtocol, R: HonestRecord>(
     cfg: &HonestSweep,
-    fspec: &FaultSpec,
     start: u64,
     end: u64,
 ) -> ReportPartial {
     let n = cfg.n;
-    let fcfg = fspec.config();
+    let width = cfg.resolved_batch_width();
+    let base_seed = cfg.batch.base_seed;
     let net = cfg.schedule.timed_net();
-    let net = net.as_ref();
-    let outcomes = match cfg.protocol {
-        ProtocolKind::BasicLead => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = BasicLead::new(n);
-                let w = SweepWorker::<u64, BasicNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::ALeadUni => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = ALeadUni::new(n);
-                let w = SweepWorker::<u64, ALeadNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseAsyncLead => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = PhaseAsyncLead::new(n).with_fn_key(cfg.fn_key);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseSumLead => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = PhaseSumLead::new(n);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-    };
-    let mut partial = ReportPartial::new_honest(
-        cfg.protocol.name(),
-        n,
-        cfg.batch.base_seed,
-        cfg.batch.trials,
-    )
-    .with_faults();
-    for (i, slot) in outcomes.into_iter().enumerate() {
+    let fault = cfg.fault.map(|f| f.config());
+    let results = run_batch_range_grouped(
+        &cfg.batch,
+        start,
+        end,
+        width,
+        || {
+            let base = P::base(n, cfg.fn_key);
+            SweepWorker {
+                engine: Engine::new(Topology::ring(n)),
+                nodes: Vec::with_capacity(n),
+                wakes: base.ring_wakes(),
+                fifo: FifoScheduler::new(),
+                timed: TimedScheduler::new(),
+                arena: TrialArena::new(),
+                exec: Execution::default(),
+                plan: FaultPlan::none(),
+                cache: (width > 1).then(|| P::cache(n)),
+                seeds: Vec::new(),
+                base,
+            }
+        },
+        |w: &mut SweepWorker<P>, gstart, out| {
+            let Some(cache) = &mut w.cache else {
+                return false;
+            };
+            // Exactly the seeds the scalar path derives for these indices.
+            w.seeds.clear();
+            w.seeds
+                .extend((0..width as u64).map(|j| trial_seed(base_seed, gstart + j)));
+            if !w.base.run_batch(&w.seeds, cache) {
+                return false;
+            }
+            for lane in 0..width {
+                P::lane(cache, lane, &mut w.exec);
+                out.push(R::of(&w.exec));
+            }
+            true
+        },
+        |w, _i, seed| {
+            if let Some(fcfg) = &fault {
+                w.plan.draw_into(fcfg, n, seed);
+                w.engine.set_fault_plan(&w.plan);
+            }
+            let p = w.base.seeded(seed);
+            let node = |id, arena: &mut TrialArena| p.node(id, arena);
+            match &net {
+                Some(net) => run_ring_honest_timed_into(
+                    &mut w.engine,
+                    n,
+                    node,
+                    &w.wakes,
+                    &mut w.nodes,
+                    &mut w.timed,
+                    net,
+                    seed,
+                    &mut w.arena,
+                    &mut w.exec,
+                ),
+                None => run_ring_honest_pooled_into(
+                    &mut w.engine,
+                    n,
+                    node,
+                    &w.wakes,
+                    &mut w.nodes,
+                    &mut w.fifo,
+                    &mut w.arena,
+                    &mut w.exec,
+                ),
+            }
+            R::of(&w.exec)
+        },
+    );
+    let mut partial =
+        ReportPartial::new_honest(cfg.protocol.name(), n, base_seed, cfg.batch.trials);
+    if fault.is_some() {
+        partial = partial.with_faults();
+    }
+    for (i, slot) in results.into_iter().enumerate() {
         match slot {
-            Ok((outcome, crashed)) => partial.record_faulty(start + i as u64, outcome, crashed),
+            Ok(result) => result.record(&mut partial, start + i as u64),
             Err(fault) => partial.record_fault(fault),
         }
     }
     partial
 }
 
-/// Feeds a [`run_batch_range`] result vector (whose slot `i` is global
-/// trial `start + i`) into an honest partial.
-fn record_honest(
-    partial: &mut ReportPartial,
-    start: u64,
-    outcomes: Vec<Result<TrialOutcome, TrialFault>>,
-) {
-    for (i, slot) in outcomes.into_iter().enumerate() {
-        match slot {
-            Ok(outcome) => partial.record(start + i as u64, outcome),
-            Err(fault) => partial.record_fault(fault),
-        }
-    }
-}
-
 /// Runs any [`SweepSpec`] — honest, attack or tree-dictator — and
-/// aggregates it into a [`TrialReport`]. The report (and its JSON/CSV
+/// aggregates it into a [`TrialReport`]: [`run_sweep_partial`] over the
+/// full trial range, finished. The report (and its JSON/CSV
 /// serializations) is byte-identical for every thread count.
-///
-/// Attack and tree grids dispatch onto per-worker caches
-/// ([`run_attack_sweep`] / [`run_tree_sweep`]) so steady-state trials
-/// are allocation-free.
 ///
 /// # Errors
 ///
-/// If the spec violates a constructor precondition (e.g. an infeasible
-/// coalition layout) — the same conditions [`SweepSpec::validate`]
-/// reports.
-///
-/// # Panics
-///
-/// Panics if `n` is below an honest protocol's minimum ring size (honest
-/// specs have no runner-layer checks; call [`SweepSpec::validate`]
-/// first).
+/// If the spec violates a constructor precondition (an honest ring below
+/// the protocol's minimum size, an infeasible coalition layout, ...) —
+/// the same conditions [`SweepSpec::validate`] reports.
 pub fn run_sweep(spec: &SweepSpec) -> Result<TrialReport, String> {
-    match spec {
-        SweepSpec::Honest(cfg) => Ok(run_honest_sweep(cfg)),
-        SweepSpec::Attack(cfg) => run_attack_sweep(cfg),
-        SweepSpec::TreeDictator(cfg) => run_tree_sweep(cfg),
-    }
+    run_sweep_partial(spec, 0, spec.batch().trials)?.finish()
 }
 
 /// Runs trials `start..end` of any [`SweepSpec`] into a mergeable
-/// [`ReportPartial`] — the primitive sharding and checkpointing are built
-/// on. Disjoint ranges [`merge`](ReportPartial::merge) and
-/// [`finish`](ReportPartial::finish) to bytes identical to
-/// [`run_sweep`] over the full range.
+/// [`ReportPartial`] — the harness's one sweep runner, which
+/// [`run_sweep`], sharding and checkpointing are built on. Disjoint
+/// ranges [`merge`](ReportPartial::merge) and
+/// [`finish`](ReportPartial::finish) to bytes identical to [`run_sweep`]
+/// over the full range.
+///
+/// Indices and seeds are global (trial `i` runs with
+/// [`trial_seed`]`(base_seed, i)` whatever the range), and each worker
+/// thread owns one reusable engine, protocol instance or attack runner,
+/// so steady-state trials allocate nothing. Panicking trials are
+/// contained as recorded faults. Where a sweep can, it runs trials in
+/// lockstep groups ([`HonestSweep::resolved_batch_width`]; FIFO,
+/// fault-free `rushing`/`phase_rushing` attack sweeps with one `fn_key`
+/// run groups of [`DEFAULT_BATCH_WIDTH`]), with a scalar rerun of any
+/// group that diverges; the bytes are the same either way. Attack trials
+/// whose per-instance preconditions fail count as `infeasible`.
 ///
 /// # Errors
 ///
-/// If the range exceeds the spec's trial count or the spec is invalid.
+/// If the range exceeds the spec's trial count, an honest ring is below
+/// the protocol's minimum size ([`ProtocolKind::min_n`]), an attack
+/// coalition does not resolve or its layout is rejected by the runner,
+/// or a tree graph's parameters are invalid. A malformed spec is a
+/// `Result`, never a worker panic.
 pub fn run_sweep_partial(spec: &SweepSpec, start: u64, end: u64) -> Result<ReportPartial, String> {
     let trials = spec.batch().trials;
     if start > end || end > trials {
@@ -589,9 +406,24 @@ pub fn run_sweep_partial(spec: &SweepSpec, start: u64, end: u64) -> Result<Repor
         ));
     }
     match spec {
-        SweepSpec::Honest(cfg) => Ok(run_honest_partial(cfg, start, end)),
-        SweepSpec::Attack(cfg) => run_attack_partial(cfg, start, end),
-        SweepSpec::TreeDictator(cfg) => run_tree_partial(cfg, start, end),
+        SweepSpec::Honest(cfg) => {
+            let min = cfg.protocol.min_n();
+            if cfg.n < min {
+                return Err(format!(
+                    "{} needs n >= {min}, got n={}",
+                    cfg.protocol.name(),
+                    cfg.n
+                ));
+            }
+            Ok(match cfg.protocol {
+                ProtocolKind::BasicLead => honest_partial::<BasicLead>(cfg, start, end),
+                ProtocolKind::ALeadUni => honest_partial::<ALeadUni>(cfg, start, end),
+                ProtocolKind::PhaseAsyncLead => honest_partial::<PhaseAsyncLead>(cfg, start, end),
+                ProtocolKind::PhaseSumLead => honest_partial::<PhaseSumLead>(cfg, start, end),
+            })
+        }
+        SweepSpec::Attack(cfg) => attack_partial(cfg, start, end),
+        SweepSpec::TreeDictator(cfg) => tree_partial(cfg, start, end),
     }
 }
 
@@ -665,15 +497,19 @@ mod tests {
                 schedule: ScheduleSpec::Fifo,
                 fault: None,
             };
-            let fifo = run_honest_sweep(&base);
-            let timed = run_honest_sweep(&HonestSweep {
-                schedule: ScheduleSpec::Timed {
-                    latency: LatencySpec::ZERO,
-                    loss_permille: 0,
-                    dup_permille: 0,
-                },
-                ..base
-            });
+            let fifo = run_sweep(&base.into()).expect("valid spec");
+            let timed = run_sweep(
+                &HonestSweep {
+                    schedule: ScheduleSpec::Timed {
+                        latency: LatencySpec::ZERO,
+                        loss_permille: 0,
+                        dup_permille: 0,
+                    },
+                    ..base
+                }
+                .into(),
+            )
+            .expect("valid spec");
             assert_eq!(timed.to_json(), fifo.to_json(), "{protocol:?}");
         }
     }
@@ -686,7 +522,7 @@ mod tests {
             base_seed: 9,
             threads: 1,
         };
-        let report = run_honest_sweep(&HonestSweep {
+        let report = run_sweep(&SweepSpec::Honest(HonestSweep {
             protocol: ProtocolKind::ALeadUni,
             n,
             fn_key: 0,
@@ -694,7 +530,8 @@ mod tests {
             batch_width: 0,
             schedule: ScheduleSpec::Fifo,
             fault: None,
-        });
+        }))
+        .expect("valid spec");
         let mut wins = vec![0u64; n];
         for i in 0..batch.trials {
             let exec = ALeadUni::new(n)

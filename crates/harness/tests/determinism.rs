@@ -7,7 +7,8 @@
 //! order, so 1, 2 and 8 threads must be indistinguishable in output.
 
 use fle_harness::{
-    run_batch, run_honest_sweep, BatchConfig, HonestSweep, ProtocolKind, ScheduleSpec, TrialReport,
+    run_batch, run_sweep, BatchConfig, HonestSweep, ProtocolKind, ScheduleSpec, SweepSpec,
+    TrialReport,
 };
 
 fn sweep_with_threads(
@@ -16,7 +17,7 @@ fn sweep_with_threads(
     trials: u64,
     threads: usize,
 ) -> TrialReport {
-    run_honest_sweep(&HonestSweep {
+    run_sweep(&SweepSpec::Honest(HonestSweep {
         protocol,
         n,
         fn_key: 9,
@@ -28,7 +29,8 @@ fn sweep_with_threads(
         batch_width: 0,
         schedule: ScheduleSpec::Fifo,
         fault: None,
-    })
+    }))
+    .expect("valid spec")
 }
 
 #[test]

@@ -9,8 +9,9 @@
 
 use fle_attacks::AttackKind;
 use fle_harness::{
-    AttackSweep, BatchConfig, CoalitionSpec, FnKeySpec, GraphSpec, HonestSweep, LatencySpec,
-    ProtocolKind, ScheduleSpec, SeedMode, SweepSpec, TargetSpec, TreeSweep,
+    run_sweep, run_sweep_partial, AttackSweep, BatchConfig, CoalitionSpec, FnKeySpec, GraphSpec,
+    HonestSweep, LatencySpec, ProtocolKind, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
+    TreeSweep, MAX_BATCH_WIDTH,
 };
 
 /// Asserts `src` fails to parse and the error mentions `needle`.
@@ -307,4 +308,69 @@ fn well_formed_specs_round_trip_and_validate() {
         assert_eq!(SweepSpec::parse_json(&spec.to_json()), Ok(spec.clone()));
         spec.validate().unwrap_or_else(|e| panic!("{e}"));
     }
+}
+
+/// An honest ring below the protocol's minimum size is a named error from
+/// `validate` and from the runners themselves — never a panic inside a
+/// protocol constructor.
+#[test]
+fn honest_ring_below_protocol_minimum_is_an_error() {
+    for &protocol in ProtocolKind::ALL {
+        let min = protocol.min_n();
+        let spec = |n| {
+            SweepSpec::Honest(HonestSweep {
+                protocol,
+                n,
+                fn_key: 0,
+                batch: BatchConfig {
+                    trials: 4,
+                    base_seed: 0,
+                    threads: 1,
+                },
+                batch_width: 0,
+                schedule: ScheduleSpec::Fifo,
+                fault: None,
+            })
+        };
+        let needle = format!("{} needs n >= {min}, got n={}", protocol.name(), min - 1);
+        let small = spec(min - 1);
+        assert_invalid(small.clone(), &needle);
+        let err = run_sweep(&small).expect_err("below the minimum");
+        assert!(err.contains(&needle), "{protocol:?}: {err}");
+        let err = run_sweep_partial(&small, 0, 2).expect_err("below the minimum");
+        assert!(err.contains(&needle), "{protocol:?}: {err}");
+        let ok = spec(min);
+        ok.validate().expect("the minimum is valid");
+        assert_eq!(run_sweep(&ok).expect("valid spec").trials, 4);
+    }
+}
+
+/// The lockstep width is capped in `validate`, for CLI flags and spec
+/// files alike.
+#[test]
+fn validate_rejects_oversized_batch_width() {
+    let spec = |batch_width| {
+        SweepSpec::Honest(HonestSweep {
+            protocol: ProtocolKind::PhaseAsyncLead,
+            n: 8,
+            fn_key: 0,
+            batch: BatchConfig {
+                trials: 4,
+                base_seed: 0,
+                threads: 1,
+            },
+            batch_width,
+            schedule: ScheduleSpec::Fifo,
+            fault: None,
+        })
+    };
+    spec(MAX_BATCH_WIDTH).validate().expect("the cap is valid");
+    for width in [MAX_BATCH_WIDTH + 1, usize::MAX] {
+        assert_invalid(spec(width), "batch_width must be at most 1024");
+    }
+    let parsed = SweepSpec::parse_json(
+        r#"{"sweep":"honest","protocol":"phase","n":8,"trials":4,"batch_width":1025}"#,
+    )
+    .expect("well-formed document");
+    assert_invalid(parsed, "batch_width must be at most 1024");
 }

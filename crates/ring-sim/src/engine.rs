@@ -482,48 +482,51 @@ impl<M> Engine<M> {
         }
     }
 
-    /// Runs one trial with the given step limit and no probe.
+    /// Runs one trial with the given step limit and no probe, allocating
+    /// a fresh [`Execution`] — the convenience form of
+    /// [`Engine::run_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len()` differs from the topology size.
+    pub fn run<N: Node<M>, S: Scheduler + ?Sized>(
+        &mut self,
+        nodes: &mut [N],
+        wakes: &[NodeId],
+        scheduler: &mut S,
+        step_limit: u64,
+    ) -> Execution {
+        let mut out = Execution::default();
+        self.run_into(nodes, wakes, scheduler, step_limit, &mut out);
+        out
+    }
+
+    /// Runs one trial with the given step limit and no probe, writing the
+    /// result into a caller-owned [`Execution`].
     ///
     /// `nodes[i]` is the behaviour of node `i`; `wakes` lists the
     /// spontaneously waking nodes in wake order. The engine is reset first
     /// (and the scheduler cleared), so back-to-back calls are independent
-    /// trials.
+    /// trials. `out`'s buffers are cleared and refilled in place, so a
+    /// worker that reuses one `Execution` across a batch performs zero
+    /// per-trial allocation here.
     ///
-    /// This is the boxed-clone convenience path: it allocates a fresh
-    /// [`Execution`] per call. Batch aggregation should use
-    /// [`Engine::run_into`] (or [`Engine::run_mono_into`]) with a reused
-    /// out-parameter instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run(
-        &mut self,
-        nodes: &mut [Box<dyn Node<M> + '_>],
-        wakes: &[NodeId],
-        scheduler: &mut dyn Scheduler,
-        step_limit: u64,
-    ) -> Execution {
-        let mut out = Execution::default();
-        self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, &mut out);
-        out
-    }
-
-    /// [`Engine::run`] writing the result into a caller-owned
-    /// [`Execution`] instead of allocating a fresh one.
-    ///
-    /// `out`'s buffers are cleared and refilled in place, so a worker that
-    /// reuses one `Execution` across a batch performs zero per-trial
-    /// allocation on this path.
+    /// The loop is monomorphized over the node type `N` and the scheduler
+    /// `S`: a homogeneous `&mut [N]` (each protocol's honest node enum)
+    /// dispatches statically, with no `Box` and no vtable call per
+    /// activation, while heterogeneous protocol/attack mixes pass
+    /// `Box<dyn Node<M>>` nodes (which implement [`Node`]) and
+    /// `&mut dyn Scheduler`. Both produce bit-identical [`Execution`]s over
+    /// the same behaviours.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_into(
+    pub fn run_into<N: Node<M>, S: Scheduler + ?Sized>(
         &mut self,
-        nodes: &mut [Box<dyn Node<M> + '_>],
+        nodes: &mut [N],
         wakes: &[NodeId],
-        scheduler: &mut dyn Scheduler,
+        scheduler: &mut S,
         step_limit: u64,
         out: &mut Execution,
     ) {
@@ -540,11 +543,11 @@ impl<M> Engine<M> {
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_session(
+    pub fn run_session<N: Node<M>, S: Scheduler + ?Sized>(
         &mut self,
-        nodes: &mut [Box<dyn Node<M> + '_>],
+        nodes: &mut [N],
         wakes: &[NodeId],
-        scheduler: &mut dyn Scheduler,
+        scheduler: &mut S,
         step_limit: u64,
         probe: Option<&mut dyn Probe<M>>,
     ) -> Execution {
@@ -563,54 +566,12 @@ impl<M> Engine<M> {
         out
     }
 
-    /// The monomorphized honest fast path: like [`Engine::run`], but the
-    /// node behaviours are a homogeneous `&mut [N]` — no `Box`, no vtable
-    /// dispatch per activation, and the scheduler calls are statically
-    /// dispatched too. The protocol crates' `run_honest_in` entries route
-    /// through here; `Box<dyn Node>` remains available (via
-    /// [`Engine::run`]) for heterogeneous protocol/attack mixes.
-    ///
-    /// Produces bit-identical [`Execution`]s to [`Engine::run`] over the
-    /// equivalent boxed behaviours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_mono<N: Node<M>, S: Scheduler + ?Sized>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        scheduler: &mut S,
-        step_limit: u64,
-    ) -> Execution {
-        let mut out = Execution::default();
-        self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, &mut out);
-        out
-    }
-
-    /// [`Engine::run_mono`] writing into a caller-owned [`Execution`] —
-    /// the zero-allocation batch-trial entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_mono_into<N: Node<M>, S: Scheduler + ?Sized>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        scheduler: &mut S,
-        step_limit: u64,
-        out: &mut Execution,
-    ) {
-        self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, out);
-    }
-
     /// The engine loop's front half: resets per-run state, then dispatches
     /// **once** on the link-storage variant and the probe hook into a fully
     /// monomorphized [`drive`] instantiation — generic over node storage,
     /// scheduler, link layout and probe, so the honest batch path carries
     /// no vtable call, no storage match and no probe branch per delivery.
-    /// Every public `run*` entry funnels here, which is what keeps all the
+    /// Every untimed `run*` entry funnels here, which is what keeps all the
     /// paths bit-identical by construction.
     fn session_core<N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>>(
         &mut self,
@@ -622,9 +583,104 @@ impl<M> Engine<M> {
         out: &mut Execution,
     ) {
         assert_eq!(nodes.len(), self.n, "need one behaviour per node");
-        self.reset();
         scheduler.clear();
+        let (hot, mut state, links, fused, fault) = self.begin_run();
+        // One dispatch on the fault plan, outside the loop: the fault-free
+        // arm instantiates with `NoFaults`, whose inline-false `is_down`
+        // vanishes — no per-delivery fault check survives on that path.
+        let (steps, delivered, hit_limit) = if fault.is_empty() {
+            drive_dispatch(
+                &hot, &mut state, links, fused, nodes, wakes, scheduler, step_limit, &mut probe,
+                &NoFaults,
+            )
+        } else {
+            drive_dispatch(
+                &hot,
+                &mut state,
+                links,
+                fused,
+                nodes,
+                wakes,
+                scheduler,
+                step_limit,
+                &mut probe,
+                &PlanFaults(fault),
+            )
+        };
+        self.finish_session(steps, delivered, hit_limit, delivered, out);
+    }
 
+    /// Runs one trial on the virtual-clock timed path (latency, bandwidth,
+    /// loss, duplication per [`TimedNetConfig`]), writing the result into
+    /// `out` like [`Engine::run_into`]. The clock of `timed` is configured
+    /// by `net` and seeded (for latency/loss/dup draws) from `seed`
+    /// through the dedicated network stream — protocol node randomness is
+    /// untouched.
+    ///
+    /// With the all-zero [`TimedNetConfig`] this is **bit-identical** to
+    /// [`Engine::run_into`] under a FIFO scheduler: every event is stamped
+    /// `t = 0`, so the heap degenerates to the fused send-order queue.
+    /// `M: Clone` is required for duplicate deliveries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes.len()` differs from the topology size.
+    #[allow(clippy::too_many_arguments)] // the worker's reusable buffers, spelled out
+    pub fn run_timed<N: Node<M>>(
+        &mut self,
+        nodes: &mut [N],
+        wakes: &[NodeId],
+        timed: &mut TimedScheduler<M>,
+        net: &TimedNetConfig,
+        seed: u64,
+        step_limit: u64,
+        out: &mut Execution,
+    ) where
+        M: Clone,
+    {
+        assert_eq!(nodes.len(), self.n, "need one behaviour per node");
+        timed.begin_trial(net, self.topology.edges().len(), seed);
+        let (hot, mut state, _, _, fault) = self.begin_run();
+        let (steps, delivered, hit_limit) = if fault.is_empty() {
+            drive_timed(
+                &hot,
+                &mut state,
+                timed,
+                nodes,
+                wakes,
+                step_limit,
+                &mut NoProbeHook,
+                &NoFaults,
+            )
+        } else {
+            drive_timed(
+                &hot,
+                &mut state,
+                timed,
+                nodes,
+                wakes,
+                step_limit,
+                &mut NoProbeHook,
+                &PlanFaults(fault),
+            )
+        };
+        self.finish_session(steps, delivered, hit_limit, timed.now(), out);
+    }
+
+    /// The session prologue shared by the untimed and timed loops: resets
+    /// per-run state, then lends the engine out as disjoint field borrows —
+    /// the read-only lookups, the mutable counters, the link storage, the
+    /// fused stream and the fault plan.
+    fn begin_run(
+        &mut self,
+    ) -> (
+        Hot<'_>,
+        RunState<'_, M>,
+        &mut LinkStorage<M>,
+        &mut VecDeque<FusedEvent<M>>,
+        &FaultPlan,
+    ) {
+        self.reset();
         let Engine {
             topology,
             n,
@@ -649,7 +705,7 @@ impl<M> Engine<M> {
             edge_of_dense,
             out_edge_of,
         };
-        let mut state = RunState {
+        let state = RunState {
             outputs,
             sent,
             received,
@@ -657,180 +713,35 @@ impl<M> Engine<M> {
             link_dirty,
             link_touched,
         };
-        // One dispatch on the fault plan, outside the loop: the fault-free
-        // arm instantiates with `NoFaults`, whose inline-false `is_down`
-        // vanishes — no per-delivery fault check survives on that path.
-        let (steps, delivered, hit_limit) = if fault.is_empty() {
-            drive_dispatch(
-                &hot, &mut state, links, fused, nodes, wakes, scheduler, step_limit, &mut probe,
-                &NoFaults,
-            )
-        } else {
-            drive_dispatch(
-                &hot,
-                &mut state,
-                links,
-                fused,
-                nodes,
-                wakes,
-                scheduler,
-                step_limit,
-                &mut probe,
-                &PlanFaults(fault),
-            )
-        };
+        (hot, state, links, fused, fault)
+    }
 
-        out.outcome = outcome_of(&*state.outputs, !hit_limit);
+    /// The session epilogue shared by the untimed and timed loops: writes
+    /// the run's outcome, outputs and counters into `out`. `fault_clock`
+    /// is the loop clock the fault plan is read on — deliveries on the
+    /// untimed paths, the virtual time on the timed path.
+    fn finish_session(
+        &mut self,
+        steps: u64,
+        delivered: u64,
+        hit_limit: bool,
+        fault_clock: u64,
+        out: &mut Execution,
+    ) {
+        out.outcome = outcome_of(&self.outputs, !hit_limit);
         out.outputs.clear();
-        out.outputs.extend_from_slice(&*state.outputs);
+        out.outputs.extend_from_slice(&self.outputs);
         out.stats.steps = steps;
         out.stats.delivered = delivered;
         out.stats.sent.clear();
-        out.stats.sent.extend_from_slice(&*state.sent);
+        out.stats.sent.extend_from_slice(&self.sent);
         out.stats.received.clear();
-        out.stats.received.extend_from_slice(&*state.received);
-        out.stats.crashes = fault.fired_count(delivered);
+        out.stats.received.extend_from_slice(&self.received);
+        out.stats.crashes = self.fault.fired_count(fault_clock);
         if out.stats.crashes > 0 && out.outcome == Outcome::Fail(FailReason::Deadlock) {
             // Quiescence with live non-terminated nodes downstream of a
             // fired crash: the fault partitioned the election, which is a
             // different diagnosis than a protocol deadlock.
-            out.outcome = Outcome::Fail(FailReason::CrashPartition);
-        }
-        self.hwm_events = steps.max(self.hwm_events / 2);
-    }
-
-    /// Runs one trial on the virtual-clock timed path (latency, bandwidth,
-    /// loss, duplication per [`TimedNetConfig`]), allocating a fresh
-    /// [`Execution`]. The convenience form of
-    /// [`Engine::run_timed_mono_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_timed<N: Node<M>>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        timed: &mut TimedScheduler<M>,
-        net: &TimedNetConfig,
-        seed: u64,
-        step_limit: u64,
-    ) -> Execution
-    where
-        M: Clone,
-    {
-        let mut out = Execution::default();
-        self.run_timed_mono_into(nodes, wakes, timed, net, seed, step_limit, &mut out);
-        out
-    }
-
-    /// The timed analogue of [`Engine::run_mono_into`]: executes one trial
-    /// over the virtual clock of `timed`, configured by `net` and seeded
-    /// (for latency/loss/dup draws) from `seed` through the dedicated
-    /// network stream — protocol node randomness is untouched.
-    ///
-    /// With the all-zero [`TimedNetConfig`] this is **bit-identical** to
-    /// [`Engine::run_mono_into`] under a FIFO scheduler: every event is
-    /// stamped `t = 0`, so the heap degenerates to the fused send-order
-    /// queue. `M: Clone` is required for duplicate deliveries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    #[allow(clippy::too_many_arguments)] // the worker's reusable buffers, spelled out
-    pub fn run_timed_mono_into<N: Node<M>>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        timed: &mut TimedScheduler<M>,
-        net: &TimedNetConfig,
-        seed: u64,
-        step_limit: u64,
-        out: &mut Execution,
-    ) where
-        M: Clone,
-    {
-        self.timed_session_core(nodes, wakes, timed, net, seed, step_limit, NoProbeHook, out);
-    }
-
-    /// The timed twin of [`session_core`](Engine::session_core): resets
-    /// engine and timed scheduler, then drives the heap loop.
-    #[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-    fn timed_session_core<N: Node<M>, P: ProbeHook<M>>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        timed: &mut TimedScheduler<M>,
-        net: &TimedNetConfig,
-        seed: u64,
-        step_limit: u64,
-        mut probe: P,
-        out: &mut Execution,
-    ) where
-        M: Clone,
-    {
-        assert_eq!(nodes.len(), self.n, "need one behaviour per node");
-        self.reset();
-        timed.begin_trial(net, self.topology.edges().len(), seed);
-
-        let Engine {
-            topology,
-            n,
-            out_neighbors,
-            edge_of_dense,
-            out_edge_of,
-            outputs,
-            sent,
-            received,
-            sends,
-            link_dirty,
-            link_touched,
-            fault,
-            ..
-        } = self;
-        let hot = Hot {
-            n: *n,
-            edges: topology.edges(),
-            out_neighbors,
-            edge_of_dense,
-            out_edge_of,
-        };
-        let mut state = RunState {
-            outputs,
-            sent,
-            received,
-            sends,
-            link_dirty,
-            link_touched,
-        };
-        let (steps, delivered, hit_limit) = if fault.is_empty() {
-            drive_timed(
-                &hot, &mut state, timed, nodes, wakes, step_limit, &mut probe, &NoFaults,
-            )
-        } else {
-            drive_timed(
-                &hot,
-                &mut state,
-                timed,
-                nodes,
-                wakes,
-                step_limit,
-                &mut probe,
-                &PlanFaults(fault),
-            )
-        };
-
-        out.outcome = outcome_of(&*state.outputs, !hit_limit);
-        out.outputs.clear();
-        out.outputs.extend_from_slice(&*state.outputs);
-        out.stats.steps = steps;
-        out.stats.delivered = delivered;
-        out.stats.sent.clear();
-        out.stats.sent.extend_from_slice(&*state.sent);
-        out.stats.received.clear();
-        out.stats.received.extend_from_slice(&*state.received);
-        out.stats.crashes = fault.fired_count(timed.now());
-        if out.stats.crashes > 0 && out.outcome == Outcome::Fail(FailReason::Deadlock) {
             out.outcome = Outcome::Fail(FailReason::CrashPartition);
         }
         self.hwm_events = steps.max(self.hwm_events / 2);
@@ -1333,10 +1244,10 @@ pub struct Execution {
 
 impl Default for Execution {
     /// A pre-run placeholder (failed outcome, empty buffers) intended as
-    /// the out-parameter of [`Engine::run_into`] /
-    /// [`Engine::run_mono_into`], which overwrite every field. Reusing one
-    /// value across a batch keeps the buffers' capacity, so per-trial
-    /// result extraction allocates nothing.
+    /// the out-parameter of [`Engine::run_into`] and [`Engine::run_timed`],
+    /// which overwrite every field. Reusing one value across a batch keeps
+    /// the buffers' capacity, so per-trial result extraction allocates
+    /// nothing.
     fn default() -> Self {
         Execution {
             outcome: Outcome::Fail(FailReason::Deadlock),
@@ -1608,7 +1519,7 @@ mod tests {
     }
 
     /// A monomorphic token-ring counter node (no boxing) for the
-    /// `run_mono` paths.
+    /// unboxed runs.
     struct Counter {
         n: u64,
         target: u64,
@@ -1669,10 +1580,10 @@ mod tests {
             assert_eq!(reused, reference);
 
             let mut mono = mono_nodes(n, target);
-            let exec = engine.run_mono(&mut mono, &[0], &mut scheduler, default_step_limit(n));
+            let exec = engine.run(&mut mono, &[0], &mut scheduler, default_step_limit(n));
             assert_eq!(exec, reference);
 
-            engine.run_mono_into(
+            engine.run_into(
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut scheduler,
@@ -1691,7 +1602,7 @@ mod tests {
         let mut engine = Engine::new(Topology::ring(n));
         let mut scheduler = FifoScheduler::new();
         scheduler.push(Token::Wake(2));
-        let exec = engine.run_mono(
+        let exec = engine.run(
             &mut mono_nodes(n, 3 * n as u64),
             &[0],
             &mut scheduler,
@@ -1729,13 +1640,13 @@ mod tests {
                 Engine::new(Topology::ring(n))
             };
             for _ in 0..2 {
-                let fused = engine.run_mono(
+                let fused = engine.run(
                     &mut mono_nodes(n, target),
                     &[0],
                     &mut FifoScheduler::new(),
                     limit,
                 );
-                let split = engine.run_mono(
+                let split = engine.run(
                     &mut mono_nodes(n, target),
                     &[0],
                     &mut crate::scheduler::reference::FifoScheduler::new(),
@@ -1764,13 +1675,13 @@ mod tests {
         let mut slab = Engine::new(Topology::ring(n));
         let mut general = Engine::new_with_general_links(Topology::ring(n));
         for _ in 0..3 {
-            let a = slab.run_mono(
+            let a = slab.run(
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
                 default_step_limit(n),
             );
-            let b = general.run_mono(
+            let b = general.run(
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
@@ -1848,19 +1759,21 @@ mod tests {
         let mut timed = crate::TimedScheduler::new();
         let net = crate::TimedNetConfig::default();
         for seed in 0..3 {
-            let fused = engine.run_mono(
+            let fused = engine.run(
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
                 default_step_limit(n),
             );
-            let timed_exec = engine.run_timed(
+            let mut timed_exec = Execution::default();
+            engine.run_timed(
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut timed,
                 &net,
                 seed,
                 default_step_limit(n),
+                &mut timed_exec,
             );
             assert_eq!(fused, timed_exec, "seed={seed}");
         }
@@ -1879,13 +1792,15 @@ mod tests {
             latency: crate::LatencySpec::Uniform { lo: 10, hi: 5000 },
             ..crate::LinkProfile::default()
         });
-        let exec = engine.run_timed(
+        let mut exec = Execution::default();
+        engine.run_timed(
             &mut mono_nodes(n, target),
             &[0],
             &mut timed,
             &net,
             42,
             default_step_limit(n),
+            &mut exec,
         );
         assert_eq!(exec.outcome, Outcome::Elected(target));
         assert!(timed.now() > 0, "virtual clock must advance");
@@ -1908,6 +1823,7 @@ mod tests {
             gap_ns: 3,
         });
         let mut run = |seed: u64| {
+            let mut exec = Execution::default();
             engine.run_timed(
                 &mut mono_nodes(n, target),
                 &[0],
@@ -1915,7 +1831,9 @@ mod tests {
                 &net,
                 seed,
                 default_step_limit(n),
-            )
+                &mut exec,
+            );
+            exec
         };
         let a = run(7);
         let b = run(7);

@@ -216,7 +216,7 @@ impl<M> Default for TimedScheduler<M> {
 
 impl<M> TimedScheduler<M> {
     /// Creates an empty scheduler; call sites re-seed it per trial through
-    /// the engine's `run_timed*` entries.
+    /// [`Engine::run_timed`](crate::Engine::run_timed).
     pub fn new() -> Self {
         TimedScheduler {
             heap: BinaryHeap::new(),

@@ -159,7 +159,7 @@ fn fault_sweep_sha256_is_pinned_and_thread_invariant() {
 #[test]
 fn fault_attack_sweep_sha256_is_pinned_and_thread_invariant() {
     for threads in [1, 2, 8] {
-        let report = fle_harness::run_attack_sweep(&AttackSweep {
+        let report = run_sweep(&SweepSpec::Attack(AttackSweep {
             attack: AttackKind::Rushing,
             n: 16,
             fn_key: FnKeySpec::Fixed(0),
@@ -177,7 +177,7 @@ fn fault_attack_sweep_sha256_is_pinned_and_thread_invariant() {
                 window: CrashInstant::Deliveries(512),
                 recover: None,
             }),
-        })
+        }))
         .expect("valid spec");
         assert!(report.attack.is_some() && report.fault.is_some());
         assert_eq!(

@@ -2,9 +2,9 @@
 //!
 //! The engine exposes one semantics through several entry points tuned for
 //! different callers: the one-shot `SimBuilder` (fresh working set per
-//! run), the boxed `Engine::run` / `Engine::run_into` (allocation reuse
-//! over `Box<dyn Node>`), the monomorphized `Engine::run_mono` /
-//! `run_mono_into` honest fast path (no boxing, static dispatch), the
+//! run), `Engine::run` / `Engine::run_into` over boxed `Box<dyn Node>`
+//! mixes (allocation reuse) and over a homogeneous node vector (the
+//! honest fast path: no boxing, static dispatch), the
 //! arena-pooled `run_ring_honest_pooled_into` batch loop, and the
 //! `run_with_in`/`TrialCache` attack fast path. Since the packed-token /
 //! link-slab engine landed, each protocol additionally runs through an
@@ -60,13 +60,13 @@ fn assert_paths_agree<M: 'static, N: Node<M> + ArenaBacked>(
 
     let mut mono_nodes: Vec<N> = (0..n).map(&mut mono).collect();
     let mut scheduler = FifoScheduler::new();
-    let via_mono = engine.run_mono(&mut mono_nodes, wakes, &mut scheduler, limit);
-    assert_eq!(&via_mono, reference, "Engine::run_mono vs SimBuilder");
+    let via_mono = engine.run(&mut mono_nodes, wakes, &mut scheduler, limit);
+    assert_eq!(&via_mono, reference, "Engine::run (unboxed) vs SimBuilder");
 
     // Reused scheduler + reused out-parameter: the zero-allocation path.
     let mut mono_nodes: Vec<N> = (0..n).map(&mut mono).collect();
-    engine.run_mono_into(&mut mono_nodes, wakes, &mut scheduler, limit, &mut out);
-    assert_eq!(&out, reference, "Engine::run_mono_into vs SimBuilder");
+    engine.run_into(&mut mono_nodes, wakes, &mut scheduler, limit, &mut out);
+    assert_eq!(&out, reference, "Engine::run_into (unboxed) vs SimBuilder");
 
     // The arena-pooled batch loop, twice over the same arena and node
     // buffer: the second pass runs entirely on reclaimed stores, so a
@@ -124,7 +124,7 @@ fn assert_link_layouts_agree<M, N: Node<M> + ArenaBacked>(
             "fused on general-links engine (pass {pass})"
         );
         let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let split_slab = slab.run_mono(
+        let split_slab = slab.run(
             &mut nodes,
             wakes,
             &mut ring_sim::reference::FifoScheduler::new(),
@@ -132,7 +132,7 @@ fn assert_link_layouts_agree<M, N: Node<M> + ArenaBacked>(
         );
         assert_eq!(&split_slab, reference, "split LinkSlab path (pass {pass})");
         let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let split_general = general.run_mono(
+        let split_general = general.run(
             &mut nodes,
             wakes,
             &mut ring_sim::reference::FifoScheduler::new(),
@@ -387,7 +387,7 @@ fn split_path_slab_vs_vecdeque_timing() {
             for seed in 0..trials {
                 let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(7);
                 let mut nodes: Vec<_> = (0..n).map(|id| p.honest_ring_node(id)).collect();
-                let exec = engine.run_mono(&mut nodes, &p.wakes(), &mut scheduler, limit);
+                let exec = engine.run(&mut nodes, &p.wakes(), &mut scheduler, limit);
                 assert!(exec.outcome.elected().is_some(), "{label} seed {seed}");
             }
             if pass == 1 {
@@ -675,8 +675,8 @@ use fle_attacks::{
     build_runner, AttackKind, AttackRunner, PhaseRushingBatchCache, PhaseRushingLayout,
 };
 use fle_harness::{
-    run_attack_partial, AttackSweep, CoalitionSpec, FaultSpec, FnKeySpec, LatencySpec,
-    ReportPartial, SeedMode, TargetSpec, TrialOutcome,
+    AttackSweep, CoalitionSpec, FaultSpec, FnKeySpec, LatencySpec, ReportPartial, SeedMode,
+    TargetSpec, TrialOutcome,
 };
 use ring_sim::{CrashInstant, FailReason, Outcome};
 use std::sync::Mutex;
@@ -927,7 +927,7 @@ proptest! {
         }
         let end = (start + len).min(80);
         let _serial = BATCH_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
-        let grouped = run_attack_partial(&cfg, start, end).expect("valid spec");
+        let grouped = run_sweep_partial(&cfg.clone().into(), start, end).expect("valid spec");
         prop_assert_eq!(grouped, scalar_attack_partial(&cfg, start, end));
     }
 }
@@ -942,7 +942,7 @@ fn attack_batch_sweeps_engage_lockstep_only_on_plain_fifo() {
         // 61 trials at width 8 on one thread: 7 groups and a ragged tail.
         let cfg = attack_sweep(kind, 16, 7, 61, 1);
         let before = batched_trials();
-        let grouped = run_attack_partial(&cfg, 0, 61).expect("valid spec");
+        let grouped = run_sweep_partial(&cfg.clone().into(), 0, 61).expect("valid spec");
         assert!(
             batched_trials() >= before + 56,
             "{kind}: the lockstep path did not run"
@@ -978,7 +978,7 @@ fn attack_batch_sweeps_engage_lockstep_only_on_plain_fifo() {
                 continue; // the key is ignored, so lockstep is still exact
             }
             let before = batched_trials();
-            run_attack_partial(scalar_only, 0, 61).expect("valid spec");
+            run_sweep_partial(&scalar_only.clone().into(), 0, 61).expect("valid spec");
             assert_eq!(
                 batched_trials(),
                 before,
@@ -986,7 +986,7 @@ fn attack_batch_sweeps_engage_lockstep_only_on_plain_fifo() {
             );
         }
         assert_eq!(
-            run_attack_partial(&timed, 0, 61).expect("valid spec"),
+            run_sweep_partial(&timed.clone().into(), 0, 61).expect("valid spec"),
             grouped,
             "{kind}: zero-profile timed ≡ FIFO"
         );

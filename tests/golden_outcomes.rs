@@ -604,3 +604,95 @@ fn engine_path_matches_pinned_values() {
         );
     }
 }
+
+/// The honest-path matrix: every protocol under every schedule the honest
+/// trial body dispatches on — lockstep FIFO (width 0), scalar FIFO
+/// (width 1), timed `const:500` links, two crash faults per trial in the
+/// 2n² delivery window, and timed links with two crashes in a 16 µs
+/// virtual-time window.
+fn honest_cell(protocol: ProtocolKind, schedule: &str, threads: usize) -> SweepSpec {
+    let n = 8;
+    let timed = ScheduleSpec::Timed {
+        latency: fle_harness::LatencySpec::Constant { ns: 500 },
+        loss_permille: 0,
+        dup_permille: 0,
+    };
+    let crash = |window| {
+        Some(fle_harness::FaultSpec {
+            crashes: 2,
+            window,
+            recover: None,
+        })
+    };
+    let (batch_width, schedule, fault) = match schedule {
+        "fifo-w0" => (0, ScheduleSpec::Fifo, None),
+        "fifo-w1" => (1, ScheduleSpec::Fifo, None),
+        "timed" => (0, timed, None),
+        "crash" => (
+            0,
+            ScheduleSpec::Fifo,
+            crash(fle_harness::CrashInstant::Deliveries(2 * n * n)),
+        ),
+        "timed-crash" => (
+            0,
+            timed,
+            crash(fle_harness::CrashInstant::VirtualNs(16_000)),
+        ),
+        other => panic!("unknown schedule {other}"),
+    };
+    SweepSpec::Honest(HonestSweep {
+        protocol,
+        n: n as usize,
+        fn_key: 9,
+        batch: BatchConfig {
+            trials: 48,
+            base_seed: 5,
+            threads,
+        },
+        batch_width,
+        schedule,
+        fault,
+    })
+}
+
+/// SHA-256 pins of `run_sweep(..).to_json()` over [`honest_cell`], taken
+/// before the per-protocol honest trial bodies were folded into one, at
+/// 1 and 2 threads. Constant latencies keep every link FIFO on a ring, so
+/// the timed cells repeat the FIFO digests.
+#[test]
+fn honest_schedule_matrix_sha256_is_pinned() {
+    use ProtocolKind::*;
+    #[rustfmt::skip]
+    const PINS: &[(ProtocolKind, &str, &str)] = &[
+        (BasicLead, "fifo-w0", "4a1c4ea84e621da6179b2bba2e4e4ccbaa1dd86fbf6dda360dc9fd0e4b14bde3"),
+        (BasicLead, "fifo-w1", "4a1c4ea84e621da6179b2bba2e4e4ccbaa1dd86fbf6dda360dc9fd0e4b14bde3"),
+        (BasicLead, "timed", "4a1c4ea84e621da6179b2bba2e4e4ccbaa1dd86fbf6dda360dc9fd0e4b14bde3"),
+        (BasicLead, "crash", "9d4bef25a2f7aacf69f41cb19712bfa2daa0ab6f327a9ea7804bba281932b1d6"),
+        (BasicLead, "timed-crash", "ccf3430b6132413b3ef3a3fadafb6072be44975115fb2984cb68f4be5687cafd"),
+        (ALeadUni, "fifo-w0", "9ee70d9e884f9eb7895a2147f2d91809bfd31b7db66e0450d7db96d80131cfea"),
+        (ALeadUni, "fifo-w1", "9ee70d9e884f9eb7895a2147f2d91809bfd31b7db66e0450d7db96d80131cfea"),
+        (ALeadUni, "timed", "9ee70d9e884f9eb7895a2147f2d91809bfd31b7db66e0450d7db96d80131cfea"),
+        (ALeadUni, "crash", "3529fff47cde096c910f7878056ecc461baeac6a88f783d81c08c7e5c056ad00"),
+        (ALeadUni, "timed-crash", "a5a5d5602d96de97c2d7e11a9ea03b8ebd441953c052ee7e436f14c801ce6aa0"),
+        (PhaseAsyncLead, "fifo-w0", "c0245d5261b41ee477790164869f1eff628f5f8edb90e33560590051a10d312b"),
+        (PhaseAsyncLead, "fifo-w1", "c0245d5261b41ee477790164869f1eff628f5f8edb90e33560590051a10d312b"),
+        (PhaseAsyncLead, "timed", "c0245d5261b41ee477790164869f1eff628f5f8edb90e33560590051a10d312b"),
+        (PhaseAsyncLead, "crash", "a1cccca8397ac9126d85c806ed69228b82188c5a3a095d800162c890a9a2ad70"),
+        (PhaseAsyncLead, "timed-crash", "0617123f85a1d890f60929f473b8c896a06a71d80c4ce044dea3a074ed144c28"),
+        (PhaseSumLead, "fifo-w0", "e35eeb0afe5b89468256580c3e2ee5c2aa4c441afaa8c0dd3a122c9338196832"),
+        (PhaseSumLead, "fifo-w1", "e35eeb0afe5b89468256580c3e2ee5c2aa4c441afaa8c0dd3a122c9338196832"),
+        (PhaseSumLead, "timed", "e35eeb0afe5b89468256580c3e2ee5c2aa4c441afaa8c0dd3a122c9338196832"),
+        (PhaseSumLead, "crash", "9670bb02051841940f55ad5de94227b6c53ae4c3ca6b1c6e17d882f28a02a05b"),
+        (PhaseSumLead, "timed-crash", "612eab95c8a3ad70e23e6046af8feb01095fe17b8b95e5bffd54c1f52b8d8f8c"),
+    ];
+    for &(protocol, schedule, pin) in PINS {
+        for threads in [1, 2] {
+            let report = run_sweep(&honest_cell(protocol, schedule, threads)).expect("valid spec");
+            assert_eq!(
+                sha256_hex(report.to_json().as_bytes()),
+                pin,
+                "{protocol:?} {schedule} threads={threads}"
+            );
+        }
+    }
+}
