@@ -610,7 +610,8 @@ impl Node<PhaseMsg> for PhaseRusher {
 /// group. The round counters are shared (the adversary's control flow
 /// depends only on them); the piped stream, validation table, plan,
 /// target and private stream are per lane, slot-major (`[round · lanes +
-/// lane]`).
+/// lane]`). The validation table keeps only rounds `1..=vals_in_f`, the
+/// ones the preimage search reads.
 pub struct BatchPhaseRusher {
     slot: Slot,
     g: Geometry,
@@ -682,15 +683,12 @@ impl LockstepNode for BatchPhaseRusher {
                         .copy_from_slice(&self.planned[base..base + width]);
                 }
                 if t == self.slot.pos + 1 {
-                    let base = t * width;
                     let out = ctx.send(PHASE_VAL_TAG);
-                    for ((o, v), rng) in out
-                        .iter_mut()
-                        .zip(&mut self.vals[base..base + width])
-                        .zip(&mut self.rng)
-                    {
-                        *v = rng.next_below(self.g.m_range);
-                        *o = *v;
+                    for (o, rng) in out.iter_mut().zip(&mut self.rng) {
+                        *o = rng.next_below(self.g.m_range);
+                    }
+                    if t <= self.g.vals_in_f {
+                        self.vals[t * width..(t + 1) * width].copy_from_slice(out);
                     }
                 }
             }
@@ -698,15 +696,12 @@ impl LockstepNode for BatchPhaseRusher {
                 self.expect_data = true;
                 let r = self.data_recv;
                 if r != self.slot.pos + 1 {
-                    let base = r * width;
                     let out = ctx.send(PHASE_VAL_TAG);
-                    for ((o, v), &y) in out
-                        .iter_mut()
-                        .zip(&mut self.vals[base..base + width])
-                        .zip(lanes)
-                    {
-                        *v = fold_mod(y, self.g.m_range);
-                        *o = *v;
+                    for (o, &y) in out.iter_mut().zip(lanes) {
+                        *o = fold_mod(y, self.g.m_range);
+                    }
+                    if r <= self.g.vals_in_f {
+                        self.vals[r * width..(r + 1) * width].copy_from_slice(out);
                     }
                 }
                 if r == n {
@@ -774,11 +769,13 @@ impl BatchDeviants for PhaseRushingLanes<'_> {
         node.rng
             .extend(self.seeds.iter().map(|&seed| adversary_rng(seed, id)));
         // Stream and plan slots are written before they are read; the
-        // validation table starts zeroed, as the scalar node's does.
+        // validation table starts zeroed, as the scalar node's does. The
+        // plans read only rounds `1..=vals_in_f`, so later rounds are
+        // forwarded but not kept.
         node.stream.resize((n - k) * width, 0);
         node.planned.resize(k * width, 0);
         node.vals.clear();
-        node.vals.resize((n + 1) * width, 0);
+        node.vals.resize((self.g.vals_in_f + 1) * width, 0);
     }
 }
 

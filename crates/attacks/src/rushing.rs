@@ -420,7 +420,9 @@ impl LockstepNode for BatchRusher {
                 *o = (self.w[lane] + 2 * n - self.sum[lane] - tail_sum) % n;
             }
             for _ in 0..(self.k - 1 - self.l) {
-                ctx.send(0);
+                // Send slots come back holding stale lanes: pad with
+                // explicit zeros, as the scalar rusher does.
+                ctx.send(0).fill(0);
             }
             for slot in self.tail.chunks_exact(k) {
                 ctx.send(0).copy_from_slice(slot);

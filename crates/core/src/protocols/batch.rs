@@ -517,10 +517,16 @@ impl PhaseShared {
 /// The `k`-lane honest phase processor (`PhaseAsyncLead` /
 /// `PhaseSumLead`, differing only in the shared output rule).
 ///
-/// The `store` is the slot-major SoA form of the scalar node's packed
-/// `data ‖ vals` table: slot `i`'s lanes occupy
-/// `store[i·k .. (i+1)·k]`. Slots are never read before being written
-/// within a run, so the store is *not* re-zeroed between groups.
+/// The `store` is the slot-major SoA form of the part of the scalar
+/// node's packed `data ‖ vals` table that `f` reads: slot `i`'s lanes
+/// occupy `store[i·k .. (i+1)·k]`. It has `n + 1 + vals_in_f` slots:
+/// the `n` data values `d̂`, the packed layout's unused slot `n`, and the
+/// validation values of rounds `1..=vals_in_f` at slots `n + round`.
+/// `f : [n]^n × [m]^{n−l} → [n]` reads nothing else, so the validation
+/// values of later rounds are checked and forwarded but never stored
+/// (for `n ≤ 100`, `l = n − 1` and one validation slot remains). Slots
+/// are never read before being written within a run, so the store is
+/// *not* re-zeroed between groups.
 pub struct BatchPhaseNode {
     id: usize,
     origin: bool,
@@ -530,6 +536,8 @@ pub struct BatchPhaseNode {
     round: usize,
     expect_data: bool,
     lanes: usize,
+    /// Validation rounds whose values feed `f` (`n − l`).
+    vals_in_f: usize,
     d: Vec<u64>,
     /// Pre-drawn validation values (the scalar node draws `v_own` lazily
     /// at its validator round, but it is the node stream's second draw,
@@ -561,11 +569,10 @@ impl BatchPhaseNode {
     fn finish(&mut self, ctx: &mut LaneCtx<'_>) {
         let (n, k) = (self.n, self.lanes);
         let mut sh = self.shared.borrow_mut();
-        let vif = sh.params.vals_in_f();
         let data = &self.store[..n * k];
         // The scalar output reads `vals[1..=vals_in_f]` of the packed
         // store — slots `n+1 .. n+1+vals_in_f` here.
-        let vals = &self.store[(n + 1) * k..(n + 1 + vif) * k];
+        let vals = &self.store[(n + 1) * k..];
         let sh = &mut *sh;
         if sh.ready && sh.data_snap == data && sh.vals_snap == vals {
             // Identical inputs to a pure function: the scalar node would
@@ -669,32 +676,31 @@ impl LockstepNode for BatchPhaseNode {
                 } else {
                     self.validator_round()
                 };
+                // Only rounds `1..=vals_in_f` have a store slot.
+                let base = (n + self.round) * k;
+                let stored = self.round <= self.vals_in_f;
                 if self.round == vr {
                     // Our own validation value coming full circle: absorb,
                     // do not forward. Any mismatch is the scalar abort.
-                    let base = (n + self.round) * k;
-                    let mut intact = true;
-                    for ((slot, &own), &raw) in self.store[base..base + k]
-                        .iter_mut()
-                        .zip(&self.v_own)
+                    let intact = self
+                        .v_own
+                        .iter()
                         .zip(lanes)
-                    {
-                        intact &= fold_mod(raw, self.m) == own;
-                        *slot = own;
-                    }
+                        .all(|(&own, &raw)| fold_mod(raw, self.m) == own);
                     if !intact {
                         ctx.diverge();
                         return;
                     }
+                    if stored {
+                        self.store[base..base + k].copy_from_slice(&self.v_own);
+                    }
                 } else {
-                    let base = (n + self.round) * k;
                     let out = ctx.send(PHASE_VAL_TAG);
-                    for ((slot, o), &raw) in
-                        self.store[base..base + k].iter_mut().zip(out).zip(lanes)
-                    {
-                        let y = fold_mod(raw, self.m);
-                        *slot = y;
-                        *o = y;
+                    for (o, &raw) in out.iter_mut().zip(lanes) {
+                        *o = fold_mod(raw, self.m);
+                    }
+                    if stored {
+                        self.store[base..base + k].copy_from_slice(out);
                     }
                 }
                 if self.round == n {
@@ -784,6 +790,7 @@ impl<D: LockstepNode> PhaseBatchCache<D> {
             node.round = 0;
             node.expect_data = true;
             node.lanes = k;
+            node.vals_in_f = params.vals_in_f();
             node.m = params.m;
             node.d.clear();
             node.v_own.clear();
@@ -796,12 +803,13 @@ impl<D: LockstepNode> PhaseBatchCache<D> {
             }
             node.buffer.clear();
             node.buffer.extend_from_slice(&node.d);
-            // Grow (never zero) the store: every slot the run reads is
+            // Resize (never zero) the store: every slot the run reads is
             // written first, so stale lanes from the previous group are
             // harmless — this skips an O(n·k) memset per group.
-            if node.store.len() != (2 * n + 1) * k {
+            let slots = (n + 1 + params.vals_in_f()) * k;
+            if node.store.len() != slots {
                 node.store.clear();
-                node.store.resize((2 * n + 1) * k, 0);
+                node.store.resize(slots, 0);
             }
         };
         ensure_nodes(
@@ -817,6 +825,7 @@ impl<D: LockstepNode> PhaseBatchCache<D> {
                     round: 0,
                     expect_data: true,
                     lanes: k,
+                    vals_in_f: params.vals_in_f(),
                     d: Vec::with_capacity(k),
                     v_own: Vec::with_capacity(k),
                     buffer: Vec::with_capacity(k),

@@ -80,8 +80,17 @@ impl std::str::FromStr for ProtocolKind {
     }
 }
 
-/// The lockstep batch width [`HonestSweep::batch_width`] 0 resolves to.
-pub const DEFAULT_BATCH_WIDTH: usize = 8;
+/// The lockstep batch width [`HonestSweep::batch_width`] 0 resolves to,
+/// and the width of lockstep attack groups.
+///
+/// Chosen from the per-layer width scan of the 10k `PhaseAsyncLead`
+/// n=64 sweep: the cost per event grows slowly with the width, so the
+/// cost per lane keeps falling up to 64 lanes, but each phase node's
+/// store holds `(n + 1 + vals_in_f) · k` words, 0.54 MB per worker at
+/// n=64 and k=16. At 16 the lanes of one group still fit a 2 MiB L2, and
+/// peak heap stays below that of width 8 with the older, larger stores;
+/// 32 would double the stores again.
+pub const DEFAULT_BATCH_WIDTH: usize = 16;
 
 /// The largest accepted [`HonestSweep::batch_width`]: beyond this the
 /// lane state stops fitting in cache and the fast path only gets slower.

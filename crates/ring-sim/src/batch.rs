@@ -28,25 +28,132 @@
 //! wake-ups plus deliveries. Per-trial statistics (`sent`, `received`,
 //! `steps`, `delivered`) are shared across lanes — the lockstep property
 //! guarantees they are identical — while outputs are per-lane.
+//!
+//! The stream lives in one power-of-two FIFO ring: a `(tag, to)` header
+//! per queued message beside one `k`-lane payload slot. Wakes precede
+//! every send in the fused order, so they run straight from the wake list
+//! and never enter the ring. The ring grows only when more messages are
+//! in flight than it holds, so a group touches memory in proportion to
+//! its in-flight messages, not to the length of the run. Slots are
+//! reused without clearing: [`LaneCtx::send`] hands out a slot with
+//! unspecified contents, and the caller writes every lane.
 
 use crate::engine::Execution;
 use crate::outcome::outcome_of;
-use std::collections::VecDeque;
 
-/// The event tag reserved for wake-ups in the fused stream. Protocol
-/// message tags must stay below this value.
-const WAKE_TAG: u8 = u8::MAX;
+/// Slots of a fresh ring, and the floor the retained capacity decays to.
+const MIN_RING_SLOTS: usize = 16;
 
-/// One fused event: a wake-up or a delivery of a `k`-lane payload.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    /// Message tag (protocol-defined), or [`WAKE_TAG`] for a wake-up.
+/// The queued half of one message; its payload sits in the payload slot
+/// of the same ring index.
+#[derive(Debug, Clone, Copy, Default)]
+struct Header {
+    /// Message tag (protocol-defined).
     tag: u8,
     /// Receiving node.
     to: u32,
-    /// Payload group index: the lanes live at
-    /// `payloads[off * lanes .. (off + 1) * lanes]`. Unused for wakes.
-    off: u32,
+}
+
+/// The fused FIFO stream of one lockstep group: a power-of-two ring of
+/// [`Header`]s with one `lanes`-wide payload slot per header.
+#[derive(Debug)]
+struct EventRing {
+    lanes: usize,
+    /// One header per slot; `headers.len()` is the capacity, a power of
+    /// two.
+    headers: Vec<Header>,
+    /// Slot `s`'s lanes at `[s * lanes, (s + 1) * lanes)`.
+    payloads: Vec<u64>,
+    /// Slot of the oldest queued message.
+    head: usize,
+    /// Messages queued.
+    len: usize,
+    /// Most messages queued at once in the current run.
+    peak: usize,
+    /// Decaying high-water mark of `peak` over recent runs, driving the
+    /// shrink-on-idle budget.
+    hwm: usize,
+}
+
+impl EventRing {
+    fn new() -> Self {
+        Self {
+            lanes: 0,
+            headers: vec![Header::default(); MIN_RING_SLOTS],
+            payloads: Vec::new(),
+            head: 0,
+            len: 0,
+            peak: 0,
+            hwm: 0,
+        }
+    }
+
+    /// Empties the ring for a `lanes`-wide run. Retained capacity decays
+    /// toward a ×4 budget of the recent in-flight high-water mark (the
+    /// policy the scalar engine and timed scheduler adopted in the
+    /// memory-budget work), so an oversized one-off group does not pin
+    /// its peak allocation forever.
+    fn reset(&mut self, lanes: usize) {
+        self.hwm = self.hwm.max(self.peak);
+        let budget = (2 * self.hwm).next_power_of_two().max(MIN_RING_SLOTS);
+        if self.headers.len() > 2 * budget {
+            self.headers.truncate(budget);
+            self.headers.shrink_to_fit();
+        }
+        // Let the high-water itself decay so the budget tracks recent
+        // groups, not the all-time peak.
+        self.hwm = self.peak.max(self.hwm / 2);
+        self.peak = 0;
+        self.head = 0;
+        self.len = 0;
+        self.lanes = lanes;
+        let slots = self.headers.len() * lanes;
+        self.payloads.resize(slots, 0);
+        if self.payloads.capacity() > 2 * slots {
+            self.payloads.shrink_to_fit();
+        }
+    }
+
+    /// Queues a message and returns its payload slot, contents
+    /// unspecified.
+    fn push(&mut self, tag: u8, to: u32) -> &mut [u64] {
+        if self.len == self.headers.len() {
+            self.grow();
+        }
+        let slot = (self.head + self.len) & (self.headers.len() - 1);
+        self.headers[slot] = Header { tag, to };
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+        let start = slot * self.lanes;
+        &mut self.payloads[start..start + self.lanes]
+    }
+
+    /// Dequeues the oldest message: its header and its slot, whose
+    /// payload stays readable until the next [`EventRing::push`].
+    fn pop(&mut self) -> Option<(Header, usize)> {
+        if self.len == 0 {
+            return None;
+        }
+        let slot = self.head;
+        self.head = (slot + 1) & (self.headers.len() - 1);
+        self.len -= 1;
+        Some((self.headers[slot], slot))
+    }
+
+    fn payload(&self, slot: usize) -> &[u64] {
+        &self.payloads[slot * self.lanes..(slot + 1) * self.lanes]
+    }
+
+    /// Doubles a full ring. The queue then runs from `head` to the old
+    /// end and wraps to `head − 1`; moving the wrapped prefix
+    /// `[0, head)` behind the old end keeps it contiguous and in order.
+    fn grow(&mut self) {
+        let (cap, lanes) = (self.headers.len(), self.lanes);
+        self.headers.resize(2 * cap, Header::default());
+        self.payloads.resize(2 * cap * lanes, 0);
+        self.headers.copy_within(..self.head, cap);
+        self.payloads.copy_within(..self.head * lanes, cap * lanes);
+    }
 }
 
 /// Behaviour of one processor over `k` lockstep trials.
@@ -86,10 +193,8 @@ impl LockstepNode for std::convert::Infallible {
 /// The action handle of one batched activation — the lockstep analogue
 /// of [`crate::Ctx`].
 pub struct LaneCtx<'a> {
-    lanes: usize,
     succ: u32,
-    queue: &'a mut VecDeque<Event>,
-    payloads: &'a mut Vec<u64>,
+    ring: &'a mut EventRing,
     outputs: &'a mut [u64],
     sent: u64,
     terminated: bool,
@@ -99,27 +204,18 @@ pub struct LaneCtx<'a> {
 impl LaneCtx<'_> {
     /// The batch width `k` (lanes per payload).
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.ring.lanes
     }
 
     /// Sends one `tag`-tagged message to the ring successor and returns
-    /// its `k` payload slots (zero-initialized) for the caller to fill.
+    /// its `k` payload slots.
     ///
-    /// # Panics
-    ///
-    /// Panics if `tag` is the reserved wake tag (`u8::MAX`).
+    /// The slots' contents are unspecified on return (a reused ring slot
+    /// keeps an earlier message's values): the caller must write every
+    /// lane, zeros included.
     pub fn send(&mut self, tag: u8) -> &mut [u64] {
-        assert!(tag != WAKE_TAG, "message tag {WAKE_TAG} is reserved");
-        let start = self.payloads.len();
-        let off = (start / self.lanes) as u32;
-        self.payloads.resize(start + self.lanes, 0);
-        self.queue.push_back(Event {
-            tag,
-            to: self.succ,
-            off,
-        });
         self.sent += 1;
-        &mut self.payloads[start..]
+        self.ring.push(tag, self.succ)
     }
 
     /// Terminates this node in every lane and returns the `k` output
@@ -146,20 +242,17 @@ impl LaneCtx<'_> {
 /// lockstep over one fused event stream.
 ///
 /// Create once per worker with [`LockstepEngine::new`] and call
-/// [`LockstepEngine::run`] per trial group; all buffers (event queue,
-/// payload arena, counters, outputs) retain their capacity across runs,
-/// so steady-state groups allocate nothing.
+/// [`LockstepEngine::run`] per trial group; all buffers (event ring,
+/// counters, outputs) retain their capacity across runs, so steady-state
+/// groups allocate nothing.
 #[derive(Debug)]
 pub struct LockstepEngine {
     n: usize,
     lanes: usize,
-    queue: VecDeque<Event>,
-    /// Append-only payload arena of the current run: group `g` occupies
-    /// `[g * lanes, (g + 1) * lanes)`. Slices are written once at send
-    /// time and read once at delivery time (into `incoming`).
-    payloads: Vec<u64>,
-    /// The popped event's payload, copied out of the arena so the node
-    /// activation can append new sends while reading it.
+    ring: EventRing,
+    /// The popped message's payload, copied out of its ring slot so the
+    /// activation can queue new sends (which may reuse that slot) while
+    /// reading it.
     incoming: Vec<u64>,
     /// Per-lane outputs, node-major: node `i`'s lanes at
     /// `[i * lanes, (i + 1) * lanes)`. Valid where `has_output[i]`.
@@ -170,10 +263,6 @@ pub struct LockstepEngine {
     steps: u64,
     delivered: u64,
     diverged: bool,
-    /// High-water mark of the payload arena, driving the shrink-on-idle
-    /// budget (retained capacity decays toward ×4 of the recent need,
-    /// matching the scalar engine's policy).
-    hwm_payloads: usize,
 }
 
 impl LockstepEngine {
@@ -187,8 +276,7 @@ impl LockstepEngine {
         Self {
             n,
             lanes: 0,
-            queue: VecDeque::new(),
-            payloads: Vec::new(),
+            ring: EventRing::new(),
             incoming: Vec::new(),
             outputs: Vec::new(),
             has_output: vec![false; n],
@@ -197,7 +285,6 @@ impl LockstepEngine {
             steps: 0,
             delivered: 0,
             diverged: false,
-            hwm_payloads: 0,
         }
     }
 
@@ -209,6 +296,12 @@ impl LockstepEngine {
     /// The batch width of the most recent [`LockstepEngine::run`].
     pub fn lanes(&self) -> usize {
         self.lanes
+    }
+
+    /// Message slots the event ring currently retains (a power of two):
+    /// the high-water mark of messages in flight, decayed across runs.
+    pub fn retained_ring_capacity(&self) -> usize {
+        self.ring.headers.len()
     }
 
     /// Runs `lanes` lockstep trials: wakes `wakes` in order, then drives
@@ -232,50 +325,44 @@ impl LockstepEngine {
     ) -> bool {
         assert_eq!(nodes.len(), self.n, "need one node per ring position");
         assert!(lanes > 0, "lockstep run needs at least one lane");
-        self.reset(lanes);
-        for &w in wakes {
-            assert!(w < self.n, "wake id {w} out of range");
-            self.queue.push_back(Event {
-                tag: WAKE_TAG,
-                to: w as u32,
-                off: 0,
-            });
+        if let Some(w) = wakes.iter().find(|&&w| w >= self.n) {
+            panic!("wake id {w} out of range");
         }
-        let mut ok = true;
-        while let Some(event) = self.queue.pop_front() {
-            // Mirror the scalar fused loop exactly: the limit check runs
-            // before the step is counted; hitting it means the lockstep
-            // result cannot represent the scalar `StepLimit` outcome, so
-            // it is treated as a divergence.
+        self.reset(lanes);
+        // Mirror the scalar fused loop exactly: the limit check runs
+        // before the step is counted; hitting it means the lockstep
+        // result cannot represent the scalar `StepLimit` outcome, so it
+        // is treated as a divergence. Every wake precedes every send in
+        // the fused stream, so the wakes run first, straight from `wakes`.
+        for &me in wakes {
             if self.steps >= step_limit {
-                ok = false;
-                break;
+                return false;
             }
             self.steps += 1;
-            if event.tag == WAKE_TAG {
-                let me = event.to as usize;
-                if !self.has_output[me] {
-                    self.activate(nodes, me, None);
+            if !self.has_output[me] {
+                self.activate(nodes, me, None);
+                if self.diverged {
+                    return false;
                 }
-            } else {
-                let to = event.to as usize;
-                self.received[to] += 1;
-                self.delivered += 1;
-                if !self.has_output[to] {
-                    let start = event.off as usize * self.lanes;
-                    self.incoming.clear();
-                    self.incoming
-                        .extend_from_slice(&self.payloads[start..start + self.lanes]);
-                    self.activate(nodes, to, Some(event.tag));
-                }
-            }
-            if self.diverged {
-                ok = false;
-                break;
             }
         }
-        self.decay_capacity();
-        ok
+        while let Some((header, slot)) = self.ring.pop() {
+            if self.steps >= step_limit {
+                return false;
+            }
+            self.steps += 1;
+            let to = header.to as usize;
+            self.received[to] += 1;
+            self.delivered += 1;
+            if !self.has_output[to] {
+                self.incoming.copy_from_slice(self.ring.payload(slot));
+                self.activate(nodes, to, Some(header.tag));
+                if self.diverged {
+                    return false;
+                }
+            }
+        }
+        true
     }
 
     /// Dispatches one activation to `nodes[me]` with field-split borrows,
@@ -285,10 +372,8 @@ impl LockstepEngine {
         let succ = if me + 1 == self.n { 0 } else { me + 1 } as u32;
         let out_start = me * lanes;
         let mut ctx = LaneCtx {
-            lanes,
             succ,
-            queue: &mut self.queue,
-            payloads: &mut self.payloads,
+            ring: &mut self.ring,
             outputs: &mut self.outputs[out_start..out_start + lanes],
             sent: 0,
             terminated: false,
@@ -346,9 +431,8 @@ impl LockstepEngine {
     /// Resets per-run state for a `lanes`-wide group, retaining capacity.
     fn reset(&mut self, lanes: usize) {
         self.lanes = lanes;
-        self.queue.clear();
-        self.payloads.clear();
-        self.incoming.clear();
+        self.ring.reset(lanes);
+        self.incoming.resize(lanes, 0);
         self.outputs.clear();
         self.outputs.resize(self.n * lanes, 0);
         self.has_output.clear();
@@ -360,21 +444,6 @@ impl LockstepEngine {
         self.steps = 0;
         self.delivered = 0;
         self.diverged = false;
-    }
-
-    /// Decays retained payload capacity toward a ×4 budget of the recent
-    /// high-water need (the policy the scalar engine and timed scheduler
-    /// adopted in the memory-budget work), so an oversized one-off group
-    /// does not pin its peak allocation forever.
-    fn decay_capacity(&mut self) {
-        let used = self.payloads.len().max(64);
-        self.hwm_payloads = self.hwm_payloads.max(used);
-        if self.payloads.capacity() > 4 * self.hwm_payloads {
-            self.payloads.shrink_to(2 * self.hwm_payloads);
-        }
-        // Let the high-water itself decay so the budget tracks recent
-        // groups, not the all-time peak.
-        self.hwm_payloads = used.max(self.hwm_payloads / 2);
     }
 }
 
@@ -525,34 +594,41 @@ mod tests {
     #[test]
     fn payload_capacity_decays_after_oversized_group() {
         let mut engine = LockstepEngine::new(2);
+        /// Node 0 bursts `burst` messages at wake; everyone then relays
+        /// `rounds` more before terminating.
         struct Burst {
+            burst: usize,
             rounds: u64,
         }
         impl LockstepNode for Burst {
             fn on_wake(&mut self, ctx: &mut LaneCtx<'_>) {
-                ctx.send(0);
+                for _ in 0..self.burst {
+                    ctx.send(0).fill(0);
+                }
             }
-            fn on_message(&mut self, _t: u8, _l: &[u64], ctx: &mut LaneCtx<'_>) {
+            fn on_message(&mut self, _t: u8, l: &[u64], ctx: &mut LaneCtx<'_>) {
                 if self.rounds == 0 {
-                    ctx.terminate();
+                    ctx.terminate().copy_from_slice(l);
                 } else {
                     self.rounds -= 1;
-                    ctx.send(0);
+                    ctx.send(0).copy_from_slice(l);
                 }
             }
         }
-        let big = 512;
-        let mut nodes = vec![Burst { rounds: big }, Burst { rounds: big }];
-        assert!(engine.run(64, &mut nodes, &[0], u64::MAX));
-        let peak = engine.payloads.capacity();
-        for _ in 0..8 {
-            let mut nodes = vec![Burst { rounds: 2 }, Burst { rounds: 2 }];
-            assert!(engine.run(2, &mut nodes, &[0], u64::MAX));
+        let burst = |burst, rounds| vec![Burst { burst, rounds }, Burst { burst: 0, rounds }];
+        assert!(engine.run(64, &mut burst(4096, 8192), &[0], u64::MAX));
+        let peak = engine.retained_ring_capacity();
+        let peak_words = engine.ring.payloads.capacity();
+        assert!(peak >= 4096, "the ring grows to the in-flight count");
+        for _ in 0..16 {
+            assert!(engine.run(2, &mut burst(1, 2), &[0], u64::MAX));
         }
+        // Back to the floor: the ring holds 16 slots of 2 lanes again.
+        let small = engine.ring.payloads.capacity();
+        assert_eq!(engine.retained_ring_capacity(), MIN_RING_SLOTS);
         assert!(
-            engine.payloads.capacity() < peak,
-            "payload capacity must decay: peak {peak}, now {}",
-            engine.payloads.capacity()
+            small <= 2 * MIN_RING_SLOTS * 2,
+            "payload capacity must decay: peak {peak_words} words, now {small}"
         );
     }
 }

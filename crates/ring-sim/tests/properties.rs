@@ -1,10 +1,11 @@
 //! Property-based tests for the simulator substrate.
 
 use proptest::prelude::*;
-use ring_sim::rng::SplitMix64;
+use ring_sim::batch::{LaneCtx, LockstepEngine, LockstepNode};
+use ring_sim::rng::{mix, SplitMix64};
 use ring_sim::{
-    reference, Ctx, EnumerativeScheduler, FifoScheduler, FnNode, LifoScheduler, NodeId, Outcome,
-    PackedToken, RandomScheduler, Scheduler, SimBuilder, Token, Topology,
+    reference, Ctx, Engine, EnumerativeScheduler, Execution, FifoScheduler, FnNode, LifoScheduler,
+    Node, NodeId, Outcome, PackedToken, RandomScheduler, Scheduler, SimBuilder, Token, Topology,
 };
 
 /// Sorted multiset of tokens for conservation comparisons.
@@ -270,5 +271,184 @@ proptest! {
         }
         let exec = b.wake_all().run();
         prop_assert_eq!(exec.stats.total_sent(), exec.stats.delivered);
+    }
+}
+
+/// The control flow of one test node, shared by its scalar and lockstep
+/// twins: how many data and padding messages each activation sends and
+/// when the node terminates. It never looks at payloads, so both twins
+/// take the same branches and only the values differ per lane.
+struct Script {
+    rng: SplitMix64,
+    /// Data messages of a wake-up; deliveries send `0..=burst`.
+    burst: u64,
+    /// Activations before the node terminates.
+    life: u64,
+    /// Sends left; bounds the run.
+    budget: u64,
+    acts: u64,
+}
+
+impl Script {
+    fn new(seed: u64, id: usize, burst: u64) -> Self {
+        let mut rng = SplitMix64::new(seed).derive(id as u64);
+        let life = 1 + rng.next_below(12);
+        Self {
+            rng,
+            burst,
+            life,
+            budget: 4 * burst,
+            acts: 0,
+        }
+    }
+
+    /// The next activation's `(data sends, padding sends, terminate)`.
+    /// Wake-ups burst at full size, so the in-flight count passes the
+    /// ring's initial capacity within one activation.
+    fn next(&mut self, wake: bool) -> (u64, u64, bool) {
+        self.acts += 1;
+        let data = if wake {
+            self.burst
+        } else {
+            self.rng.next_below(self.burst + 1)
+        };
+        let data = data.min(self.budget);
+        self.budget -= data;
+        let pad = self.rng.next_below(3).min(self.budget);
+        self.budget -= pad;
+        (data, pad, self.acts >= self.life)
+    }
+}
+
+/// Folds a received `(tag, value)` into a node's running digest.
+fn absorb(acc: u64, tag: u8, value: u64) -> u64 {
+    mix(acc ^ value.rotate_left(17) ^ (u64::from(tag) << 56))
+}
+
+/// The scalar twin: data messages carry digests of everything received,
+/// padding carries zero, and the output is the final digest.
+struct ScalarTwin {
+    script: Script,
+    acc: u64,
+}
+
+impl ScalarTwin {
+    fn act(&mut self, wake: bool, ctx: &mut Ctx<'_, (u8, u64)>) {
+        let (data, pad, terminate) = self.script.next(wake);
+        for j in 0..data {
+            ctx.send((0, absorb(self.acc, 0, j)));
+        }
+        if terminate {
+            ctx.terminate(Some(self.acc));
+        }
+        for _ in 0..pad {
+            ctx.send((1, 0));
+        }
+    }
+}
+
+impl Node<(u8, u64)> for ScalarTwin {
+    fn on_wake(&mut self, ctx: &mut Ctx<'_, (u8, u64)>) {
+        self.act(true, ctx);
+    }
+
+    fn on_message(&mut self, _from: NodeId, (tag, value): (u8, u64), ctx: &mut Ctx<'_, (u8, u64)>) {
+        self.acc = absorb(self.acc, tag, value);
+        self.act(false, ctx);
+    }
+}
+
+/// The lockstep twin: [`ScalarTwin`] over `k` lanes. Every send writes
+/// every lane, padding zeros included, since reused ring slots come back
+/// holding stale values.
+struct LaneTwin {
+    script: Script,
+    acc: Vec<u64>,
+}
+
+impl LaneTwin {
+    fn act(&mut self, wake: bool, ctx: &mut LaneCtx<'_>) {
+        let (data, pad, terminate) = self.script.next(wake);
+        for j in 0..data {
+            for (o, &a) in ctx.send(0).iter_mut().zip(&self.acc) {
+                *o = absorb(a, 0, j);
+            }
+        }
+        if terminate {
+            ctx.terminate().copy_from_slice(&self.acc);
+        }
+        for _ in 0..pad {
+            ctx.send(1).fill(0);
+        }
+    }
+}
+
+impl LockstepNode for LaneTwin {
+    fn on_wake(&mut self, ctx: &mut LaneCtx<'_>) {
+        self.act(true, ctx);
+    }
+
+    fn on_message(&mut self, tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>) {
+        for (a, &v) in self.acc.iter_mut().zip(lanes) {
+            *a = absorb(*a, tag, v);
+        }
+        self.act(false, ctx);
+    }
+}
+
+/// Lane `lane`'s initial digest at node `id`.
+fn lane_acc(seed: u64, lane: usize, id: usize) -> u64 {
+    mix(seed ^ mix(lane as u64) ^ (id as u64).rotate_left(32))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The lockstep event ring against the scalar FIFO engine, lane by
+    /// lane: bursts that pass the ring's initial capacity inside one
+    /// activation (so it grows mid-activation, and wraps as the stream
+    /// drains and refills), explicitly zeroed padding, and nodes that
+    /// terminate with messages still queued to them. The outputs are
+    /// digests of every payload received, so the full `Execution`
+    /// comparison covers the payload values. One engine serves every
+    /// width, so width changes reuse the retained ring.
+    #[test]
+    fn lockstep_ring_matches_scalar_fifo_engine(
+        seed in any::<u64>(),
+        n in 2usize..8,
+        burst in 17u64..48,
+    ) {
+        let mut order = SplitMix64::new(seed ^ 0x5eed);
+        let mut wakes: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            wakes.swap(i, order.next_below(i as u64 + 1) as usize);
+        }
+        wakes.truncate(1 + order.next_below(n as u64) as usize);
+        let limit = 1_000_000;
+        let mut lockstep = LockstepEngine::new(n);
+        let mut scalar = Engine::new(Topology::ring(n));
+        let mut exec = Execution::default();
+        for width in [1usize, 2, 7, 8, 16, 64] {
+            let lane_seed = seed.wrapping_add(width as u64);
+            let mut nodes: Vec<LaneTwin> = (0..n)
+                .map(|id| LaneTwin {
+                    script: Script::new(seed, id, burst),
+                    acc: (0..width).map(|lane| lane_acc(lane_seed, lane, id)).collect(),
+                })
+                .collect();
+            prop_assert!(lockstep.run(width, &mut nodes, &wakes, limit));
+            prop_assert!(lockstep.retained_ring_capacity() >= burst as usize);
+            for lane in 0..width {
+                let mut twins: Vec<ScalarTwin> = (0..n)
+                    .map(|id| ScalarTwin {
+                        script: Script::new(seed, id, burst),
+                        acc: lane_acc(lane_seed, lane, id),
+                    })
+                    .collect();
+                let reference = scalar.run(&mut twins, &wakes, &mut FifoScheduler::new(), limit);
+                lockstep.execution_into(lane, &mut exec);
+                prop_assert_eq!(&exec, &reference, "width {} lane {}", width, lane);
+            }
+        }
     }
 }

@@ -438,9 +438,9 @@ use fle_harness::{
 };
 
 /// Widths around the interesting boundaries: scalar-equivalent 1, the
-/// smallest real batch, a non-power-of-two, the default, and one wider
-/// than every ring under test.
-const BATCH_WIDTHS: [usize; 5] = [1, 2, 7, 8, 64];
+/// smallest real batch, a non-power-of-two, the former default 8, the
+/// default, and one wider than every ring under test.
+const BATCH_WIDTHS: [usize; 6] = [1, 2, 7, 8, 16, 64];
 
 /// Runs `widths`-sized lockstep groups over consecutive derived seeds and
 /// asserts every lane equals its scalar reference `Execution` exactly.
@@ -585,6 +585,53 @@ proptest! {
     }
 }
 
+/// Phase rings past n = 100, where `l < n − 1` and several validation
+/// values feed `f` (14 at n = 128), so the trimmed lockstep store keeps
+/// more than the single validation slot of every smaller ring.
+#[test]
+fn batch_vs_scalar_phase_rings_with_several_validation_slots() {
+    let n = 128;
+    let widths = [1, 7, 16];
+    let p = PhaseAsyncLead::new(n).with_fn_key(11);
+    assert_eq!(p.params().vals_in_f(), 14);
+    let mut cache = PhaseBatchCache::ring(n);
+    assert_batch_lanes_match(
+        "phase n=128",
+        5,
+        &widths,
+        |seeds| {
+            assert!(
+                p.run_honest_batch_into(seeds, &mut cache),
+                "honest never diverges"
+            );
+            let mut lanes = vec![Execution::default(); seeds.len()];
+            for (lane, out) in lanes.iter_mut().enumerate() {
+                cache.execution_into(lane, out);
+            }
+            lanes
+        },
+        |seed| p.with_seed(seed).run_honest(),
+    );
+    let p = PhaseSumLead::new(n);
+    assert_batch_lanes_match(
+        "phasesum n=128",
+        6,
+        &widths,
+        |seeds| {
+            assert!(
+                p.run_honest_batch_into(seeds, &mut cache),
+                "honest never diverges"
+            );
+            let mut lanes = vec![Execution::default(); seeds.len()];
+            for (lane, out) in lanes.iter_mut().enumerate() {
+                cache.execution_into(lane, out);
+            }
+            lanes
+        },
+        |seed| p.with_seed(seed).run_honest(),
+    );
+}
+
 /// A full batched sweep must serialize byte-identically to the scalar
 /// sweep — for every protocol, at a width (7) that leaves a ragged tail —
 /// and the lockstep path must actually have run (not silently fallen back
@@ -607,6 +654,9 @@ fn batched_sweeps_match_scalar_sweeps_bytewise() {
             fault: None,
         })
     };
+    // 61 trials at width 7 on one thread: every one of the 8 full groups
+    // runs lockstep, the ragged tail of 5 scalar.
+    let width = 7;
     for protocol in [
         ProtocolKind::BasicLead,
         ProtocolKind::ALeadUni,
@@ -614,9 +664,9 @@ fn batched_sweeps_match_scalar_sweeps_bytewise() {
         ProtocolKind::PhaseSumLead,
     ] {
         let before = batched_trials();
-        let batched = fle_harness::run_sweep(&spec(protocol, 7)).expect("valid spec");
+        let batched = fle_harness::run_sweep(&spec(protocol, width)).expect("valid spec");
         assert!(
-            batched_trials() >= before + 56,
+            batched_trials() >= before + (61 / width as u64) * width as u64,
             "{protocol:?}: lockstep path did not run"
         );
         let scalar = fle_harness::run_sweep(&spec(protocol, 1)).expect("valid spec");
@@ -676,7 +726,7 @@ use fle_attacks::{
 };
 use fle_harness::{
     AttackSweep, CoalitionSpec, FaultSpec, FnKeySpec, LatencySpec, ReportPartial, SeedMode,
-    TargetSpec, TrialOutcome,
+    TargetSpec, TrialOutcome, DEFAULT_BATCH_WIDTH,
 };
 use ring_sim::{CrashInstant, FailReason, Outcome};
 use std::sync::Mutex;
@@ -751,7 +801,7 @@ fn check_attack_groups(
     let mut scalar = build_runner(kind, n, &coalition).expect("runner builds");
     let feasible = scalar.run_trial(base, fn_key, 0).is_ok();
     let mut next = 0;
-    for width in [1usize, 2, 7, 8] {
+    for width in [1usize, 2, 7, 8, 16] {
         let seeds: Vec<u64> = (0..width as u64)
             .map(|j| trial_seed(base, next + j))
             .collect();
@@ -939,12 +989,14 @@ proptest! {
 fn attack_batch_sweeps_engage_lockstep_only_on_plain_fifo() {
     let _serial = BATCH_COUNTER.lock().unwrap_or_else(|e| e.into_inner());
     for kind in [AttackKind::Rushing, AttackKind::PhaseRushing] {
-        // 61 trials at width 8 on one thread: 7 groups and a ragged tail.
+        // 61 trials on one thread: every full group of the default
+        // width runs lockstep, the ragged tail scalar.
         let cfg = attack_sweep(kind, 16, 7, 61, 1);
+        let width = DEFAULT_BATCH_WIDTH as u64;
         let before = batched_trials();
         let grouped = run_sweep_partial(&cfg.clone().into(), 0, 61).expect("valid spec");
         assert!(
-            batched_trials() >= before + 56,
+            batched_trials() >= before + (61 / width) * width,
             "{kind}: the lockstep path did not run"
         );
         assert_eq!(grouped, scalar_attack_partial(&cfg, 0, 61), "{kind}");
